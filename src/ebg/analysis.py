@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+from .config import raise_problems
 from .engine import Benchmark, LineageEvent, RunRecord
 from .expressions import Expression
 from .fitness import run_trials
@@ -36,6 +37,28 @@ class InvalidSamplePoint(ValueError):
         super().__init__(f"invalid evaluation ({cause}) at point [{coords}]")
         self.point = np.asarray(point)
         self.cause = cause
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Sample counts, finite-difference steps and seed of ``ebg analyze``."""
+
+    sobol_base_samples: int = 1024
+    curvature_points: int = 100
+    fd_step_gradient: float = 1e-5
+    fd_step_hessian: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        problems = []
+        if self.sobol_base_samples < 2:
+            problems.append("sobol_base_samples: must be >= 2")
+        if self.curvature_points < 4:
+            problems.append("curvature_points: must be >= 4")
+        for name in ("fd_step_gradient", "fd_step_hessian"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name}: must be positive")
+        raise_problems(problems)
 
 
 # ------------------------------------------------------------ Sobol indices
@@ -61,7 +84,7 @@ def _eval_or_raise(program, X: np.ndarray) -> np.ndarray:
 def sobol_indices(
     expr: Expression,
     space: SearchSpace | None = None,
-    base_samples: int = 1024,
+    base_samples: int = AnalysisConfig.sobol_base_samples,
     seed: int = 0,
 ) -> SobolResult:
     """Saltelli-scheme first/total order indices over the uniform box.
@@ -75,8 +98,7 @@ def sobol_indices(
     """
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
-    if base_samples < 2:
-        raise ValueError("base_samples must be >= 2")
+    AnalysisConfig(sobol_base_samples=base_samples)  # range check
     d = space.dimension
     rng = np.random.default_rng(seed)
     A = rng.uniform(space.lower, space.upper, (base_samples, d))
@@ -177,9 +199,9 @@ def _point_features(
 def curvature_features(
     expr: Expression,
     space: SearchSpace | None = None,
-    sample_points: int = 100,
-    fd_step_gradient: float = 1e-5,
-    fd_step_hessian: float = 1e-3,
+    sample_points: int = AnalysisConfig.curvature_points,
+    fd_step_gradient: float = AnalysisConfig.fd_step_gradient,
+    fd_step_hessian: float = AnalysisConfig.fd_step_hessian,
     seed: int = 0,
 ) -> CurvatureFeatures:
     """Median gradient anisotropy and lower-quartile Hessian condition.
@@ -193,8 +215,11 @@ def curvature_features(
     """
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
-    if sample_points < 4:
-        raise ValueError("sample_points must be >= 4")
+    AnalysisConfig(  # range check
+        curvature_points=sample_points,
+        fd_step_gradient=fd_step_gradient,
+        fd_step_hessian=fd_step_hessian,
+    )
     sampler = qmc.LatinHypercube(d=space.dimension, seed=seed)
     unit = sampler.random(sample_points)
     X = qmc.scale(unit, space.lower, space.upper)
@@ -365,7 +390,7 @@ def _distinct_benchmarks(record: RunRecord) -> list[Benchmark]:
     return out
 
 
-def trajectory_export(record: RunRecord, workers: int = 1) -> TrajectoryTables:
+def trajectory_export(record: RunRecord) -> TrajectoryTables:
     """Plot-ready tables: fitness by generation plus convergence traces.
 
     The fitness table has one row per generation: (generation, best
@@ -387,7 +412,6 @@ def trajectory_export(record: RunRecord, workers: int = 1) -> TrajectoryTables:
             SearchSpace(dimension=config.dimension),
             config.ga,
             config.de,
-            workers,
         )
         columns = []
         traces = []

@@ -1,13 +1,15 @@
 """Command-line interface: generate runs, score and analyze benchmarks.
 
 One JSON config file carries every knob: the engine block at the top
-level, plus ``backend`` (chat endpoint or transcript replay) and
-``analysis`` (sample counts and finite-difference steps) blocks.
-``--print-default-config`` emits the full schema with defaults.
+level (EngineConfig), plus ``backend`` (BackendConfig: chat endpoint or
+transcript replay) and ``analysis`` (AnalysisConfig: sample counts and
+finite-difference steps) blocks.  Those frozen dataclasses hold every
+default and every range check; ``--print-default-config`` emits their
+defaults, and a key they do not know, at any level, is an error.
 
 Exit codes: 0 success, 1 for validation problems (every violated field
-is listed), 2 for runtime aborts such as transport failures, exhausted
-retry budgets, or invalid analysis samples.
+is listed), 2 for runtime aborts such as replay misses, exhausted retry
+budgets, or invalid analysis samples.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    InvalidSamplePoint,
+    AnalysisConfig,
     curvature_features,
     mds_embed,
     operator_stats,
     pairwise_levenshtein,
     sobol_indices,
-    trajectory_export,
 )
+from .config import ConfigError, build
 from .engine import (
     EngineAbort,
     EngineConfig,
@@ -39,22 +41,19 @@ from .engine import (
     run,
 )
 from .expressions import ParseError, SymbolError, DimensionError, parse
-from .fitness import FitnessConfig, evaluate_benchmark, prevalidate
+from .fitness import evaluate_benchmark, prevalidate
 from .llm import (
+    BackendConfig,
     LiveBackend,
     RecordingBackend,
     ReplayBackend,
-    RetryPolicy,
     TranscriptMissError,
-    TransportError,
 )
-from .optimizers import DeConfig, GaConfig, SearchSpace
+from .optimizers import SearchSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-BACKEND_MODES = ("live", "replay", "record")
 
 ENV_ENDPOINT = "EBG_API_URL"
 ENV_API_KEY = "EBG_API_KEY"
@@ -66,57 +65,39 @@ ENV_MODEL = "EBG_MODEL"
 
 def default_config() -> dict:
     """The full config schema with every default filled in."""
-    return {
-        "population_size": 10,
-        "max_generations": 20,
-        "crossover_rate": 0.5,
-        "dimension": 5,
-        "seed": 0,
-        "workers": 1,
-        "fitness": dataclasses.asdict(FitnessConfig()),
-        "ga": dataclasses.asdict(GaConfig()),
-        "de": dataclasses.asdict(DeConfig()),
-        "retry": dataclasses.asdict(RetryPolicy()),
-        "backend": {
-            "mode": "live",
-            "endpoint_url": "",
-            "api_key": None,
-            "model": "",
-            "temperature": 0.8,
-            "max_tokens": 512,
-            "transcript": None,
-            "strict_replay": True,
-        },
-        "analysis": {
-            "sobol_base_samples": 1024,
-            "curvature_points": 100,
-            "fd_step_gradient": 1e-5,
-            "fd_step_hessian": 1e-3,
-            "seed": 0,
-        },
-    }
+    engine = dataclasses.asdict(EngineConfig())
+    del engine["output_dir"]
+    # field defaults, not BackendConfig(): the default live mode has no endpoint yet
+    backend = {f.name: f.default for f in dataclasses.fields(BackendConfig)}
+    return {**engine, "backend": backend, "analysis": dataclasses.asdict(AnalysisConfig())}
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, unknown: list[str], prefix: str = "") -> dict:
+    """``override`` over ``base``; keys ``base`` lacks go to ``unknown``."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            unknown.append(prefix + key)
+        elif isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, unknown, f"{prefix}{key}.")
         else:
             out[key] = value
     return out
 
 
 def load_config(path: str | None) -> dict:
-    """User config merged over defaults; a missing path means defaults."""
+    """User config merged over defaults; a missing path means defaults.
+
+    A key the schema does not know, at any level, raises ValueError.
+    """
     data = default_config()
     if path is not None:
         with open(path, encoding="utf-8") as handle:
             user = json.load(handle)
-        unknown = set(user) - set(data)
+        unknown: list[str] = []
+        data = _merge(data, user, unknown)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = _merge(data, user)
+            raise ValueError(f"unknown config keys: {unknown}")
     return data
 
 
@@ -132,88 +113,47 @@ def apply_env_overrides(data: dict, env: dict[str, str] | None = None) -> dict:
     return {**data, "backend": backend}
 
 
+def _engine_block(data: dict, output_dir: str | None) -> dict:
+    names = [f.name for f in dataclasses.fields(EngineConfig) if f.name != "output_dir"]
+    return {**{name: data[name] for name in names}, "output_dir": output_dir}
+
+
 def validate_config(data: dict, require_backend: bool = True) -> list[str]:
     """Every violated field, one message each; empty means valid.
 
-    Commands that never contact a backend (evaluate, analyze) skip the
-    backend block so a bare default config works offline.
+    Builds each block from its dataclass and prefixes the block's
+    messages with the block name.  Commands that never contact a backend
+    (evaluate, analyze) skip the backend block so a bare default config
+    works offline.
     """
-    problems: list[str] = []
-    if data["population_size"] < 2:
-        problems.append("population_size: must be >= 2")
-    if data["max_generations"] < 1:
-        problems.append("max_generations: must be >= 1")
-    if not 0.0 <= data["crossover_rate"] <= 1.0:
-        problems.append("crossover_rate: must lie in [0, 1]")
-    if data["dimension"] < 1:
-        problems.append("dimension: must be >= 1")
-    if data["workers"] < 1:
-        problems.append("workers: must be >= 1")
-    for block, factory in (
-        ("fitness", FitnessConfig),
-        ("ga", GaConfig),
-        ("de", DeConfig),
-        ("retry", RetryPolicy),
-    ):
-        try:
-            factory(**data[block])
-        except (TypeError, ValueError) as err:
-            problems.append(f"{block}: {err}")
+    blocks = [(EngineConfig, "", _engine_block(data, None))]
     if require_backend:
-        backend = data["backend"]
-        mode = backend.get("mode")
-        if mode not in BACKEND_MODES:
-            problems.append(f"backend.mode: must be one of {', '.join(BACKEND_MODES)}")
-        if mode in ("live", "record") and not backend.get("endpoint_url"):
-            problems.append("backend.endpoint_url: required in live and record modes")
-        if mode == "replay" and not backend.get("transcript"):
-            problems.append("backend.transcript: replay mode needs a transcript path")
-    analysis = data["analysis"]
-    if analysis["sobol_base_samples"] < 2:
-        problems.append("analysis.sobol_base_samples: must be >= 2")
-    if analysis["curvature_points"] < 4:
-        problems.append("analysis.curvature_points: must be >= 4")
-    for step in ("fd_step_gradient", "fd_step_hessian"):
-        if analysis[step] <= 0:
-            problems.append(f"analysis.{step}: must be positive")
+        blocks.append((BackendConfig, "backend.", data["backend"]))
+    blocks.append((AnalysisConfig, "analysis.", data["analysis"]))
+    problems: list[str] = []
+    for cls, prefix, block in blocks:
+        try:
+            build(cls, block)
+        except ConfigError as err:
+            problems += [prefix + problem for problem in err.problems]
     return problems
 
 
 def engine_config_from(data: dict, output_dir: str | None) -> EngineConfig:
-    engine_keys = {
-        k: data[k]
-        for k in (
-            "population_size",
-            "max_generations",
-            "crossover_rate",
-            "dimension",
-            "seed",
-            "workers",
-            "fitness",
-            "ga",
-            "de",
-            "retry",
-        )
-    }
-    engine_keys["output_dir"] = output_dir
-    return config_from_dict(engine_keys)
+    return config_from_dict(_engine_block(data, output_dir))
 
 
-def build_backend(data: dict, out_dir: Path | None):
-    backend = data["backend"]
-    mode = backend["mode"]
-    if mode == "replay":
-        return ReplayBackend.from_path(backend["transcript"], strict=backend["strict_replay"])
+def build_backend(config: BackendConfig, out_dir: Path):
+    if config.mode == "replay":
+        return ReplayBackend.from_path(config.transcript)
     live = LiveBackend(
-        endpoint_url=backend["endpoint_url"],
-        api_key=backend["api_key"],
-        model=backend["model"],
-        temperature=backend["temperature"],
-        max_tokens=backend["max_tokens"],
+        endpoint_url=config.endpoint_url,
+        api_key=config.api_key,
+        model=config.model,
+        temperature=config.temperature,
+        max_tokens=config.max_tokens,
     )
-    if mode == "record":
-        if out_dir is None:
-            raise ValueError("record mode needs an output directory")
+    if config.mode == "record":
         return RecordingBackend(live, out_dir / "transcript.jsonl")
     return live
 
@@ -237,8 +177,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         data["backend"] = {**data["backend"], "mode": "replay", "transcript": args.replay}
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.workers is not None:
-        data["workers"] = args.workers
     problems = validate_config(data)
     if problems:
         return _fail_validation(problems)
@@ -246,9 +184,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = engine_config_from(data, str(out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        backend = build_backend(data, out_dir)
+        backend = build_backend(build(BackendConfig, data["backend"]), out_dir)
         record = run(config, backend)
-    except (EngineAbort, TransportError, TranscriptMissError) as err:
+    except (EngineAbort, TranscriptMissError) as err:
         print(f"run aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"best expression: {record.best.text}")
@@ -275,25 +213,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     problems = validate_config(data, require_backend=False)
     if problems:
         return _fail_validation(problems)
+    config = engine_config_from(data, None)
     try:
-        expr = _load_expression(args, data["dimension"])
+        expr = _load_expression(args, config.dimension)
     except (OSError, ParseError, SymbolError, DimensionError) as err:
         print(f"bad expression: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    fitness_config = FitnessConfig(**data["fitness"])
-    space = SearchSpace(dimension=data["dimension"])
+    fitness_config = config.fitness
+    space = SearchSpace(dimension=config.dimension)
     if not prevalidate(expr, space, fitness_config.prevalidation_samples, fitness_config.base_seed):
         print("expression failed pre-validation: invalid values on the search box", file=sys.stderr)
         return EXIT_VALIDATION
-    workers = args.workers if args.workers is not None else data["workers"]
-    evaluation = evaluate_benchmark(
-        expr,
-        fitness_config,
-        space,
-        GaConfig(**data["ga"]),
-        DeConfig(**data["de"]),
-        workers,
-    )
+    evaluation = evaluate_benchmark(expr, fitness_config, space, config.ga, config.de)
     a1, a2 = fitness_config.a1, fitness_config.a2
     print(f"fitness: {evaluation.fitness:.10g}")
     print(f"rank term: {evaluation.rank_term:.10g}")
@@ -325,7 +256,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     problems = validate_config(data, require_backend=False)
     if problems:
         return _fail_validation(problems)
-    analysis = data["analysis"]
+    analysis = build(AnalysisConfig, data["analysis"])
     out_dir = Path(args.out)
     if args.run is not None:
         try:
@@ -347,8 +278,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.what in ("sobol", "both"):
             result = sobol_indices(
                 expr,
-                base_samples=analysis["sobol_base_samples"],
-                seed=analysis["seed"],
+                base_samples=analysis.sobol_base_samples,
+                seed=analysis.seed,
             )
             payload = {
                 "expression": text,
@@ -362,18 +293,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.what in ("curvature", "both"):
             features = curvature_features(
                 expr,
-                sample_points=analysis["curvature_points"],
-                fd_step_gradient=analysis["fd_step_gradient"],
-                fd_step_hessian=analysis["fd_step_hessian"],
-                seed=analysis["seed"],
+                sample_points=analysis.curvature_points,
+                fd_step_gradient=analysis.fd_step_gradient,
+                fd_step_hessian=analysis.fd_step_hessian,
+                seed=analysis.seed,
             )
             payload = {"expression": text, **dataclasses.asdict(features)}
             (out_dir / "curvature.json").write_text(json.dumps(payload, indent=2) + "\n")
             print(f"wrote {out_dir / 'curvature.json'}")
-    except InvalidSamplePoint as err:
-        print(f"analysis aborted: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as err:
+    except ValueError as err:  # InvalidSamplePoint is a ValueError
         print(f"analysis aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -467,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True, help="run directory to create")
     generate.add_argument("--seed", type=int, default=None, help="override the run seed")
     generate.add_argument("--replay", default=None, help="transcript to replay instead of a live endpoint")
-    generate.add_argument("--workers", type=int, default=None, help="evaluation pool size")
     generate.set_defaults(func=cmd_generate)
 
     evaluate = sub.add_parser("evaluate", help="score one expression")
@@ -477,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--config", default=None, help="JSON config file")
     evaluate.add_argument("--seed", type=int, default=None, help="override the trial base seed")
     evaluate.add_argument("--out", default="evaluation.json", help="where to write the report")
-    evaluate.add_argument("--workers", type=int, default=None, help="evaluation pool size")
     evaluate.set_defaults(func=cmd_evaluate)
 
     analyze = sub.add_parser("analyze", help="sensitivity and curvature analysis")

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import build, raise_problems
 from .expressions import Binary, Constant, Expression, Variable, parse, render
 from .fitness import BenchmarkEvaluation, FitnessConfig, evaluate_benchmark, prevalidate
 from .llm import (
@@ -33,7 +34,6 @@ from .llm import (
     PromptSpec,
     RetryPolicy,
     TranscriptMissError,
-    TransportError,
     generate_offspring,
 )
 from .optimizers import DeConfig, GaConfig, SearchSpace
@@ -45,7 +45,6 @@ ORIGIN_MUTATION = "mutation"
 
 CONFIG_FILE = "config.json"
 LINEAGE_FILE = "lineage.jsonl"
-TRANSCRIPT_FILE = "transcript.jsonl"
 BEST_FILE = "best.json"
 
 
@@ -63,7 +62,6 @@ class EngineConfig:
     crossover_rate: float = 0.5
     dimension: int = 5
     seed: int = 0
-    workers: int = 1
     output_dir: str | None = None
     fitness: FitnessConfig = field(default_factory=FitnessConfig)
     ga: GaConfig = field(default_factory=GaConfig)
@@ -71,16 +69,16 @@ class EngineConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
+        problems = []
         if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+            problems.append("population_size: must be >= 2")
         if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+            problems.append("max_generations: must be >= 1")
         if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
+            problems.append("crossover_rate: must lie in [0, 1]")
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            problems.append("dimension: must be >= 1")
+        raise_problems(problems)
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,7 @@ def _evaluate(state: EngineState, config: EngineConfig, expr: Expression, text: 
     cached = state.cache.get(text)
     if cached is not None:
         return cached
-    evaluation = evaluate_benchmark(
-        expr, config.fitness, _space(config), config.ga, config.de, config.workers
-    )
+    evaluation = evaluate_benchmark(expr, config.fitness, _space(config), config.ga, config.de)
     state.cache[text] = evaluation
     state.evaluated_benchmarks += 1
     state.inner_trials_total += len(evaluation.a1_best) + len(evaluation.a2_best)
@@ -348,9 +344,6 @@ def step_generation(
             result = generate_offspring(spec, client, config.retry, validator)
         except AttemptsExhausted as err:
             _spend_failure(state, config, err)
-            # reselect_parents_on_failure redraws above; otherwise the
-            # next pass redraws anyway, which is equivalent for uniform
-            # selection, so no special casing is needed here.
             continue
         offspring.append(
             _admit(
@@ -428,17 +421,16 @@ def event_from_record(record: dict) -> LineageEvent:
 
 
 def config_to_dict(config: EngineConfig) -> dict:
-    out = dataclasses.asdict(config)
-    return out
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(data: dict) -> EngineConfig:
-    kwargs = dict(data)
-    kwargs["fitness"] = FitnessConfig(**kwargs.get("fitness", {}))
-    kwargs["ga"] = GaConfig(**kwargs.get("ga", {}))
-    kwargs["de"] = DeConfig(**kwargs.get("de", {}))
-    kwargs["retry"] = RetryPolicy(**kwargs.get("retry", {}))
-    return EngineConfig(**kwargs)
+    """Inverse of config_to_dict; missing keys keep their defaults.
+
+    Raises ConfigError, a ValueError, naming every unknown key and every
+    violated field.
+    """
+    return build(EngineConfig, data)
 
 
 def snapshot_filename(generation: int) -> str:
@@ -530,7 +522,7 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
             persister.best(
                 _best_payload(_best_of(population), trace, state, generation + 1, aborted=False)
             )
-    except (TransportError, TranscriptMissError, EngineAbort):
+    except (TranscriptMissError, EngineAbort):
         if populations:
             persister.best(
                 _best_payload(

@@ -16,12 +16,12 @@ instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import raise_problems
 from .expressions import Expression
 from .kernels import CAUSE_OK, compile_program, eval_program
 from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de, run_ga
@@ -41,17 +41,19 @@ class FitnessConfig:
     prevalidation_samples: int = 1000
 
     def __post_init__(self) -> None:
+        problems = []
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            problems.append("trials: must be >= 1")
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            problems.append("alpha: must be >= 0")
         if self.invalid_penalty <= 0:
-            raise ValueError("invalid_penalty must be positive")
-        for tag in (self.a1, self.a2):
-            if tag not in ALGORITHM_TAGS:
-                raise ValueError(f"unknown algorithm tag {tag!r}; choose from {ALGORITHM_TAGS}")
+            problems.append("invalid_penalty: must be positive")
+        for name in ("a1", "a2"):
+            if getattr(self, name) not in ALGORITHM_TAGS:
+                problems.append(f"{name}: must be one of {', '.join(ALGORITHM_TAGS)}")
         if self.a1 == self.a2:
-            raise ValueError("a1 and a2 must differ")
+            problems.append("a2: must differ from a1")
+        raise_problems(problems)
 
 
 @dataclass(frozen=True)
@@ -136,35 +138,14 @@ def run_trials(
     space: SearchSpace,
     ga_config: GaConfig,
     de_config: DeConfig,
-    workers: int = 1,
 ) -> dict[str, list[TrialOutcome]]:
-    """All 2T seeded trials, keyed by algorithm tag.
-
-    Trials are independent, so they may run on a thread pool; results
-    are assembled by index and identical to a sequential run.
-    """
+    """All 2T seeded trials, keyed by algorithm tag, in trial order."""
     program = compile_program(expr)
-    jobs = [
-        (tag, i, derive_trial_seed(config.base_seed, tag, i))
-        for tag in (config.a1, config.a2)
-        for i in range(config.trials)
-    ]
-    outcomes: dict[str, list[TrialOutcome | None]] = {
-        config.a1: [None] * config.trials,
-        config.a2: [None] * config.trials,
-    }
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda job: _run_one(job[0], program, space, ga_config, de_config, job[2]),
-                jobs,
-            )
-            for (tag, i, _), outcome in zip(jobs, results):
-                outcomes[tag][i] = outcome
-    else:
-        for tag, i, seed in jobs:
-            outcomes[tag][i] = _run_one(tag, program, space, ga_config, de_config, seed)
-    return {tag: list(row) for tag, row in outcomes.items()}
+    outcomes: dict[str, list[TrialOutcome]] = {}
+    for tag in (config.a1, config.a2):
+        seeds = [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)]
+        outcomes[tag] = [_run_one(tag, program, space, ga_config, de_config, s) for s in seeds]
+    return outcomes
 
 
 def evaluate_benchmark(
@@ -173,12 +154,11 @@ def evaluate_benchmark(
     space: SearchSpace | None = None,
     ga_config: GaConfig = GaConfig(),
     de_config: DeConfig = DeConfig(),
-    workers: int = 1,
 ) -> BenchmarkEvaluation:
     """Score one benchmark; invalid trials collapse to the flat penalty."""
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
-    outcomes = run_trials(expr, config, space, ga_config, de_config, workers)
+    outcomes = run_trials(expr, config, space, ga_config, de_config)
     a1_best = tuple(o.best_value for o in outcomes[config.a1])
     a2_best = tuple(o.best_value for o in outcomes[config.a2])
     invalid = any(not o.valid for row in outcomes.values() for o in row)
@@ -208,7 +188,7 @@ def evaluate_benchmark(
 def prevalidate(
     expr: Expression,
     space: SearchSpace | None = None,
-    samples: int = 1000,
+    samples: int = FitnessConfig.prevalidation_samples,
     seed: int = 0,
 ) -> bool:
     """True when the expression is finite at ``samples`` uniform points.

@@ -14,7 +14,6 @@ network access.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import time
@@ -26,6 +25,7 @@ from typing import Callable, Protocol
 
 import requests
 
+from .config import raise_problems
 from .expressions import (
     DEFAULT_WHITELIST,
     DimensionError,
@@ -230,6 +230,37 @@ def load_transcript(path: str | Path) -> list[TranscriptEntry]:
     return entries
 
 
+BACKEND_MODES = ("live", "replay", "record")
+
+
+@dataclass(frozen=True)
+class BackendConfig:
+    """Where responses come from.
+
+    ``live`` calls the endpoint, ``record`` calls it and appends every
+    exchange to ``transcript.jsonl`` in the run directory, and
+    ``replay`` serves the responses of a recorded ``transcript``.
+    """
+
+    mode: str = "live"
+    endpoint_url: str = ""
+    api_key: str | None = None
+    model: str = ""
+    temperature: float = 0.8
+    max_tokens: int = 512
+    transcript: str | None = None
+
+    def __post_init__(self) -> None:
+        problems = []
+        if self.mode not in BACKEND_MODES:
+            problems.append(f"mode: must be one of {', '.join(BACKEND_MODES)}")
+        if self.mode in ("live", "record") and not self.endpoint_url:
+            problems.append("endpoint_url: required in live and record modes")
+        if self.mode == "replay" and not self.transcript:
+            problems.append("transcript: replay mode needs a transcript path")
+        raise_problems(problems)
+
+
 class LiveBackend:
     """Thin chat-completions client: one user message, first choice out."""
 
@@ -238,8 +269,8 @@ class LiveBackend:
         endpoint_url: str,
         api_key: str | None = None,
         model: str = "",
-        temperature: float = 0.8,
-        max_tokens: int = 512,
+        temperature: float = BackendConfig.temperature,
+        max_tokens: int = BackendConfig.max_tokens,
         timeout: float = 60.0,
         max_retries: int = 3,
     ):
@@ -287,39 +318,27 @@ class ReplayBackend:
     Entries sharing a digest form a FIFO queue, so a recorded run with
     repeated prompts (and sampled, differing responses) replays in the
     original order; once a queue is down to one entry it keeps serving
-    it.  ``strict`` raises on unknown digests; the fuzzy mode falls back
-    to the closest recorded prompt by string similarity.
+    it.  A prompt with no recorded entry always raises
+    TranscriptMissError, so a replay either reproduces the recorded run
+    or stops.
     """
 
     name = "replay"
 
-    def __init__(self, entries: list[TranscriptEntry], strict: bool = True):
-        self.strict = strict
+    def __init__(self, entries: list[TranscriptEntry]):
         self._queues: dict[str, list[str]] = defaultdict(list)
-        self._prompts: dict[str, str] = {}
         for entry in entries:
             self._queues[entry.digest].append(entry.response)
-            self._prompts[entry.digest] = entry.prompt
 
     @classmethod
-    def from_path(cls, path: str | Path, strict: bool = True) -> "ReplayBackend":
-        return cls(load_transcript(path), strict=strict)
+    def from_path(cls, path: str | Path) -> "ReplayBackend":
+        return cls(load_transcript(path))
 
     def complete(self, prompt: str) -> str:
         digest = prompt_digest(prompt)
         queue = self._queues.get(digest)
-        if queue:
-            return queue.pop(0) if len(queue) > 1 else queue[0]
-        if self.strict:
+        if not queue:
             raise TranscriptMissError(digest)
-        best_digest, best_score = None, -1.0
-        for known_digest, known_prompt in self._prompts.items():
-            score = difflib.SequenceMatcher(None, prompt, known_prompt).ratio()
-            if score > best_score:
-                best_digest, best_score = known_digest, score
-        if best_digest is None:
-            raise TranscriptMissError(digest)
-        queue = self._queues[best_digest]
         return queue.pop(0) if len(queue) > 1 else queue[0]
 
 
@@ -354,14 +373,15 @@ class RecordingBackend:
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts_per_offspring: int = 10
-    reselect_parents_on_failure: bool = True
     global_failure_cap: int = 100
 
     def __post_init__(self) -> None:
+        problems = []
         if self.max_attempts_per_offspring < 1:
-            raise ValueError("max_attempts_per_offspring must be >= 1")
+            problems.append("max_attempts_per_offspring: must be >= 1")
         if self.global_failure_cap < 0:
-            raise ValueError("global_failure_cap must be >= 0")
+            problems.append("global_failure_cap: must be >= 0")
+        raise_problems(problems)
 
 
 class AttemptsExhausted(RuntimeError):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import raise_problems
 from .expressions import Expression
 from .kernels import CAUSE_OK, Program, compile_program, eval_program
 
@@ -47,18 +48,20 @@ class GaConfig:
     tournament_size: int = 2
 
     def __post_init__(self) -> None:
+        problems = []
         if self.population < 2:
-            raise ValueError("GA population must be >= 2")
+            problems.append("population: must be >= 2")
         if self.generations < 0:
-            raise ValueError("generations must be >= 0")
+            problems.append("generations: must be >= 0")
         for name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.eta_crossover <= 0 or self.eta_mutation <= 0:
-            raise ValueError("distribution indices must be positive")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                problems.append(f"{name}: must lie in [0, 1]")
+        for name in ("eta_crossover", "eta_mutation"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name}: must be positive")
         if self.tournament_size < 1:
-            raise ValueError("tournament size must be >= 1")
+            problems.append("tournament_size: must be >= 1")
+        raise_problems(problems)
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,16 @@ class DeConfig:
     crossover_cr: float = 0.8
 
     def __post_init__(self) -> None:
+        problems = []
         if self.population < 4:
-            raise ValueError("DE population must be >= 4 for rand/1")
+            problems.append("population: must be >= 4 for rand/1")
         if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if not 0.0 <= self.crossover_cr <= 1.0:
-            raise ValueError("crossover_cr must lie in [0, 1]")
+            problems.append("generations: must be >= 0")
         if self.weight_f <= 0.0:
-            raise ValueError("weight_f must be positive")
+            problems.append("weight_f: must be positive")
+        if not 0.0 <= self.crossover_cr <= 1.0:
+            problems.append("crossover_cr: must lie in [0, 1]")
+        raise_problems(problems)
 
 
 @dataclass(frozen=True)

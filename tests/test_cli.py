@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ebg.cli import default_config, main, validate_config
+from ebg.cli import default_config, load_config, main, validate_config
 from ebg.engine import load_lineage, load_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -79,6 +79,15 @@ def test_validate_config_lists_every_violated_field():
     assert len(problems) == 4
 
 
+def test_printed_default_config_loads_back_valid(tmp_path, capsys):
+    assert main(["--print-default-config"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data["backend"].update(mode="replay", transcript=SMOKE_TRANSCRIPT)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert validate_config(load_config(str(path))) == []
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
 
@@ -89,6 +98,17 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     code = main(["generate", "--config", str(path), "--out", str(tmp_path / "run")])
     assert code == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key", [("analysis", "sobol_base_sample"), ("backend", "endpoint")]
+)
+def test_unknown_nested_config_key_is_validation_error(tmp_path, capsys, block, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({block: {key: 0}}))
+    code = main(["analyze", "--expr", "x[0]*x[1]", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert f"{block}.{key}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- generate
@@ -335,6 +355,17 @@ def test_lineage_corrupt_line_reports_position(smoke_run, capsys):
     code = main(["lineage", "--run", str(smoke_run)])
     assert code == 1
     assert ":3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lineage", "analyze"])
+def test_run_directory_with_unknown_config_key(smoke_run, capsys, command):
+    path = smoke_run / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "foo": 1}))
+    capsys.readouterr()
+    code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot load run" in err and "foo" in err
 
 
 def test_lineage_missing_run_directory(tmp_path, capsys):

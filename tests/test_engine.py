@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ebg.config import ConfigError
 from ebg.engine import (
     Benchmark,
     EngineAbort,
@@ -120,8 +121,29 @@ def test_engine_config_validation():
         tiny_config(crossover_rate=1.5)
     with pytest.raises(ValueError):
         tiny_config(dimension=0)
-    with pytest.raises(ValueError):
-        tiny_config(workers=0)
+
+
+def test_config_from_dict_lists_every_problem():
+    with pytest.raises(ConfigError) as caught:
+        config_from_dict(
+            {
+                "population_size": 1,
+                "dimension": 0,
+                "workers": 2,
+                "fitness": {"trials": 0, "alpha": -1.0},
+                "ga": {"population": "8"},
+                "de": 3,
+            }
+        )
+    assert sorted(caught.value.problems) == [
+        "de: must be an object",
+        "dimension: must be >= 1",
+        "fitness.alpha: must be >= 0",
+        "fitness.trials: must be >= 1",
+        "ga.population: must be a number",
+        "population_size: must be >= 2",
+        "workers: unknown key",
+    ]
 
 
 def test_config_dict_round_trip(tmp_path):
@@ -156,7 +178,7 @@ def test_initialize_population_seed_and_conditioning():
 def test_initialize_population_replay_miss_propagates():
     config = tiny_config()
     with pytest.raises(TranscriptMissError):
-        initialize_population(config, ReplayBackend([], strict=True))
+        initialize_population(config, ReplayBackend([]))
 
 
 # ------------------------------------------------------------- generations
@@ -313,6 +335,6 @@ def test_run_abort_during_init_leaves_config(tmp_path):
     out = tmp_path / "early"
     config = tiny_config(output_dir=str(out))
     with pytest.raises(TranscriptMissError):
-        run(config, ReplayBackend([], strict=True))
+        run(config, ReplayBackend([]))
     assert (out / "config.json").exists()
     assert not (out / "best.json").exists()

@@ -127,12 +127,12 @@ def test_evaluate_benchmark_domain_error_gets_flat_penalty():
     assert np.isnan(result.rank_term)
 
 
-def test_evaluate_benchmark_deterministic_and_thread_safe():
+def test_evaluate_benchmark_deterministic():
     config = FitnessConfig(trials=4)
     expr = parse("x[0]**2 + sin(x[1])", 5)
-    seq = evaluate_benchmark(expr, config, ga_config=TINY_GA, de_config=TINY_DE, workers=1)
-    par = evaluate_benchmark(expr, config, ga_config=TINY_GA, de_config=TINY_DE, workers=4)
-    assert seq == par
+    first = evaluate_benchmark(expr, config, ga_config=TINY_GA, de_config=TINY_DE)
+    second = evaluate_benchmark(expr, config, ga_config=TINY_GA, de_config=TINY_DE)
+    assert first == second
 
 
 def test_run_trials_shape_and_budget():

@@ -179,25 +179,17 @@ def _entry(prompt: str, response: str) -> TranscriptEntry:
 
 
 def test_replay_strict_hit_and_miss():
-    backend = ReplayBackend([_entry("p1", "x[0]")], strict=True)
+    backend = ReplayBackend([_entry("p1", "x[0]")])
     assert backend.complete("p1") == "x[0]"
     with pytest.raises(TranscriptMissError):
         backend.complete("p2")
 
 
 def test_replay_fifo_per_digest():
-    backend = ReplayBackend([_entry("p", "a"), _entry("p", "b")], strict=True)
+    backend = ReplayBackend([_entry("p", "a"), _entry("p", "b")])
     assert backend.complete("p") == "a"
     assert backend.complete("p") == "b"
     assert backend.complete("p") == "b"  # last entry keeps serving
-
-
-def test_replay_fuzzy_falls_back_to_closest():
-    backend = ReplayBackend(
-        [_entry("generate a 5-dimensional problem", "x[0]"), _entry("something else", "x[1]")],
-        strict=False,
-    )
-    assert backend.complete("generate a 5-dimensionaI problem") == "x[0]"
 
 
 def test_recording_backend_round_trip(tmp_path):
@@ -319,7 +311,7 @@ def test_generate_offspring_validator_rejects():
 
 def test_generate_offspring_replay_miss_propagates():
     with pytest.raises(TranscriptMissError):
-        generate_offspring(_spec(), ReplayBackend([], strict=True))
+        generate_offspring(_spec(), ReplayBackend([]))
 
 
 def test_generate_offspring_prevalidation_filters_domain_errors():
