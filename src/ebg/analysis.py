@@ -21,9 +21,9 @@ from scipy.stats import qmc
 
 from .config import raise_problems
 from .engine import Benchmark, LineageEvent, RunRecord
-from .expressions import Expression
+from .expressions import Expression, evaluate
 from .fitness import run_trials
-from .kernels import CAUSE_OK, cause_string, compile_program, eval_program
+from .kernels import compile_program, eval_program
 from .optimizers import SearchSpace
 
 DEGENERATE_MAGNITUDE = 1e-12
@@ -72,12 +72,12 @@ class SobolResult:
     base_samples: int
 
 
-def _eval_or_raise(program, X: np.ndarray) -> np.ndarray:
-    values, causes = eval_program(program, X)
-    bad = np.flatnonzero(causes != CAUSE_OK)
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidSamplePoint(X[i], cause_string(int(causes[i])))
+def _eval_or_raise(expr: Expression, program, X: np.ndarray) -> np.ndarray:
+    """Values at X; the first invalid point raises with its reference cause."""
+    values, invalid = eval_program(program, X)
+    if invalid.any():
+        point = X[int(np.argmax(invalid))]
+        raise InvalidSamplePoint(point, evaluate(expr, point).cause)
     return values
 
 
@@ -104,8 +104,8 @@ def sobol_indices(
     A = rng.uniform(space.lower, space.upper, (base_samples, d))
     B = rng.uniform(space.lower, space.upper, (base_samples, d))
     program = compile_program(expr)
-    f_a = _eval_or_raise(program, A)
-    f_b = _eval_or_raise(program, B)
+    f_a = _eval_or_raise(expr, program, A)
+    f_b = _eval_or_raise(expr, program, B)
     pooled = np.concatenate([f_a, f_b])
     mean = pooled.mean()
     variance = float(np.mean((pooled - mean) ** 2))
@@ -118,7 +118,7 @@ def sobol_indices(
     for i in range(d):
         AB = A.copy()
         AB[:, i] = B[:, i]
-        f_ab = _eval_or_raise(program, AB) - mean
+        f_ab = _eval_or_raise(expr, program, AB) - mean
         first[i] = np.mean(f_b * (f_ab - f_a)) / variance
         total[i] = 0.5 * np.mean((f_a - f_ab) ** 2) / variance
     return SobolResult(
@@ -169,8 +169,8 @@ def _point_features(
     """(gradient ratio, Hessian condition) at x, or None to skip the point."""
     d = x.size
     points = _stencil(x, h_grad, h_hess)
-    values, causes = eval_program(program, points)
-    if np.any(causes != CAUSE_OK):
+    values, invalid = eval_program(program, points)
+    if invalid.any():
         return None
     f0 = values[0]
     grad = np.empty(d)

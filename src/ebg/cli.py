@@ -182,9 +182,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return _fail_validation(problems)
     out_dir = Path(args.out)
     config = engine_config_from(data, str(out_dir))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         backend = build_backend(build(BackendConfig, data["backend"]), out_dir)
+    except (OSError, ValueError, KeyError) as err:
+        print(f"cannot read transcript: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
         record = run(config, backend)
     except (EngineAbort, TranscriptMissError) as err:
         print(f"run aborted: {err}", file=sys.stderr)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .config import raise_problems
 from .expressions import Expression
-from .kernels import CAUSE_OK, compile_program, eval_program
-from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de, run_ga
+from .kernels import compile_program, eval_program
+from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de_trials, run_ga_trials
 
 ALGORITHM_TAGS = ("GA", "DE")
 _TAG_CODES = {"GA": 1, "DE": 2}
@@ -53,6 +53,8 @@ class FitnessConfig:
                 problems.append(f"{name}: must be one of {', '.join(ALGORITHM_TAGS)}")
         if self.a1 == self.a2:
             problems.append("a2: must differ from a1")
+        if self.prevalidation_samples < 1:
+            problems.append("prevalidation_samples: must be >= 1")
         raise_problems(problems)
 
 
@@ -126,12 +128,6 @@ def derive_trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-def _run_one(tag: str, objective, space, ga_config, de_config, seed: int) -> TrialOutcome:
-    if tag == "GA":
-        return run_ga(objective, space, ga_config, seed)
-    return run_de(objective, space, de_config, seed)
-
-
 def run_trials(
     expr: Expression,
     config: FitnessConfig,
@@ -139,12 +135,19 @@ def run_trials(
     ga_config: GaConfig,
     de_config: DeConfig,
 ) -> dict[str, list[TrialOutcome]]:
-    """All 2T seeded trials, keyed by algorithm tag, in trial order."""
+    """All 2T seeded trials, keyed by algorithm tag, in trial order.
+
+    The T trials of one algorithm run in lockstep; each keeps the
+    outcome it would have alone with its seed.
+    """
     program = compile_program(expr)
     outcomes: dict[str, list[TrialOutcome]] = {}
     for tag in (config.a1, config.a2):
         seeds = [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)]
-        outcomes[tag] = [_run_one(tag, program, space, ga_config, de_config, s) for s in seeds]
+        if tag == "GA":
+            outcomes[tag] = run_ga_trials(program, space, ga_config, seeds)
+        else:
+            outcomes[tag] = run_de_trials(program, space, de_config, seeds)
     return outcomes
 
 
@@ -200,5 +203,5 @@ def prevalidate(
         space = SearchSpace(dimension=expr.dimension)
     rng = np.random.default_rng(seed)
     X = rng.uniform(space.lower, space.upper, (samples, space.dimension))
-    _, causes = eval_program(compile_program(expr), X)
-    return bool(np.all(causes == CAUSE_OK))
+    _, invalid = eval_program(compile_program(expr), X)
+    return not invalid.any()

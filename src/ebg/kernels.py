@@ -3,32 +3,28 @@
 Scoring one candidate benchmark costs millions of objective evaluations
 (2 algorithms x trials x population x generations), so expressions are
 compiled once into a flat postfix program and evaluated over whole
-batches of points.  Two interchangeable backends implement identical
+batches of points.  A kernel answers one question per point: the value,
+or invalid.  A point is invalid exactly when :func:`ebg.expressions.evaluate`
+reports a cause there (a domain error, NaN, or an infinity at any
+subterm); callers that need the cause string ask ``evaluate`` for it at
+the point in question.  Two interchangeable backends implement identical
 semantics:
 
 * a numba ``@njit`` stack machine looping over points (default), and
 * a pure-numpy vectorized interpreter used as fallback.
 
 Set ``EBG_NUMBA=0`` to force the numpy path; the numba path is also
-skipped automatically when numba is not importable.  Causes mirror
-:mod:`ebg.expressions`: the first failing operation in postorder wins.
+skipped automatically when numba is not importable.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import (
-    CAUSE_DIV_ZERO,
-    CAUSE_FRACTIONAL_POWER,
-    CAUSE_INFINITE,
-    CAUSE_NAN,
-    CAUSE_SQRT_NEGATIVE,
-    CAUSE_ZERO_NEGATIVE_POWER,
     INTEGER_POWER_TOLERANCE,
     Binary,
     Constant,
@@ -67,23 +63,6 @@ _UNARY_CODES = {
     "abs": OP_ABS,
 }
 _BINARY_CODES = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV, "pow": OP_POW}
-
-# integer cause codes shared by both backends
-CAUSE_OK = 0
-_CAUSE_STRINGS = {
-    1: CAUSE_NAN,
-    2: CAUSE_INFINITE,
-    3: CAUSE_SQRT_NEGATIVE,
-    4: CAUSE_DIV_ZERO,
-    5: CAUSE_FRACTIONAL_POWER,
-    6: CAUSE_ZERO_NEGATIVE_POWER,
-}
-
-
-def cause_string(code: int) -> str | None:
-    """Map a kernel cause code to the textual cause (None when valid)."""
-    return _CAUSE_STRINGS.get(int(code))
-
 
 @dataclass(frozen=True)
 class Program:
@@ -132,15 +111,22 @@ def compile_program(expr: Expression) -> Program:
 # ------------------------------------------------------------- numba path
 
 
-def _eval_program_scalar(codes, operands, X, stack_need):  # pragma: no cover - jit twin below
+def _eval_program_scalar(codes, operands, X, stack_need):
+    """Point-by-point twin of the numpy kernel, compiled by numba.
+
+    It calls numpy's functions, not math's, so that it also runs as
+    plain Python (math.sinh raises on overflow where numba returns inf);
+    the tests run it that way where numba is missing.  Each point stops
+    at its first failing operation.
+    """
     n = X.shape[0]
     m = codes.shape[0]
     values = np.empty(n, dtype=np.float64)
-    causes = np.zeros(n, dtype=np.int8)
+    invalid = np.zeros(n, dtype=np.bool_)
     stack = np.empty(stack_need, dtype=np.float64)
     for p in range(n):
         sp = 0
-        cause = 0
+        bad = False
         for k in range(m):
             op = codes[k]
             if op == OP_CONST:
@@ -156,21 +142,21 @@ def _eval_program_scalar(codes, operands, X, stack_need):  # pragma: no cover - 
                     r = -a
                 elif op == OP_SQRT:
                     if a < 0.0:
-                        cause = 3
+                        bad = True
                         break
-                    r = math.sqrt(a)
+                    r = np.sqrt(a)
                 elif op == OP_SIN:
-                    r = math.sin(a)
+                    r = np.sin(a)
                 elif op == OP_COS:
-                    r = math.cos(a)
+                    r = np.cos(a)
                 elif op == OP_TAN:
-                    r = math.tan(a)
+                    r = np.tan(a)
                 elif op == OP_SINH:
-                    r = math.sinh(a)
+                    r = np.sinh(a)
                 elif op == OP_COSH:
-                    r = math.cosh(a)
+                    r = np.cosh(a)
                 elif op == OP_TANH:
-                    r = math.tanh(a)
+                    r = np.tanh(a)
                 else:
                     r = abs(a)
             else:
@@ -185,36 +171,30 @@ def _eval_program_scalar(codes, operands, X, stack_need):  # pragma: no cover - 
                     r = a * b
                 elif op == OP_DIV:
                     if b == 0.0:
-                        cause = 4
+                        bad = True
                         break
                     r = a / b
                 else:
                     if a < 0.0:
                         nb = np.rint(b)
                         if abs(b - nb) > INTEGER_POWER_TOLERANCE:
-                            cause = 5
+                            bad = True
                             break
                         mag = (-a) ** nb
                         r = -mag if nb % 2.0 != 0.0 else mag
                     elif a == 0.0 and b < 0.0:
-                        cause = 6
+                        bad = True
                         break
                     else:
                         r = a ** b
-            if np.isnan(r):
-                cause = 1
-                break
-            if np.isinf(r):
-                cause = 2
+            if not np.isfinite(r):
+                bad = True
                 break
             stack[sp] = r
             sp += 1
-        if cause == 0:
-            values[p] = stack[0]
-        else:
-            values[p] = np.nan
-        causes[p] = cause
-    return values, causes
+        values[p] = np.nan if bad else stack[0]
+        invalid[p] = bad
+    return values, invalid
 
 
 def _numba_enabled() -> bool:
@@ -237,30 +217,36 @@ if _numba_enabled():
 # ------------------------------------------------------------- numpy path
 
 
-def _set_cause(causes: np.ndarray, mask: np.ndarray, code: int) -> None:
-    np.putmask(causes, mask & (causes == CAUSE_OK), code)
-
-
 def _eval_program_vectorized(codes, operands, X):
+    """Stack machine over whole columns.
+
+    Under numpy every domain error yields NaN or an infinity (sqrt of a
+    negative, x/0, a fractional power of a negative base, 0 to a
+    negative power), and a non-finite operand gives a non-finite result
+    in every operation but three: tanh(inf) is 1, x/inf is 0, and pow
+    maps nan**0, 1**nan, inf**-1 and 0.5**inf to finite numbers.  Only
+    those three mark their non-finite operands invalid; every other
+    failure reaches the root, where one finiteness check catches it.
+    Constants stay numpy scalars and broadcast.
+    """
     n = X.shape[0]
-    causes = np.zeros(n, dtype=np.int8)
-    stack: list[np.ndarray] = []
+    columns = X.T.copy()
+    invalid = np.zeros(n, dtype=np.bool_)
+    stack: list = []
     with np.errstate(all="ignore"):
         for k in range(codes.shape[0]):
             op = int(codes[k])
             if op == OP_CONST:
-                stack.append(np.full(n, operands[k]))
+                stack.append(operands[k])
                 continue
             if op == OP_VAR:
-                r = X[:, int(operands[k])].astype(np.float64, copy=True)
+                r = columns[int(operands[k])]
             elif op <= OP_ABS:
                 a = stack.pop()
                 if op == OP_NEG:
                     r = -a
                 elif op == OP_SQRT:
-                    bad = a < 0.0
-                    _set_cause(causes, bad, 3)
-                    r = np.sqrt(np.where(bad, 0.0, a))
+                    r = np.sqrt(a)
                 elif op == OP_SIN:
                     r = np.sin(a)
                 elif op == OP_COS:
@@ -272,6 +258,7 @@ def _eval_program_vectorized(codes, operands, X):
                 elif op == OP_COSH:
                     r = np.cosh(a)
                 elif op == OP_TANH:
+                    invalid |= np.isinf(a)
                     r = np.tanh(a)
                 else:
                     r = np.abs(a)
@@ -285,28 +272,33 @@ def _eval_program_vectorized(codes, operands, X):
                 elif op == OP_MUL:
                     r = a * b
                 elif op == OP_DIV:
-                    bad = b == 0.0
-                    _set_cause(causes, bad, 4)
-                    r = a / np.where(bad, 1.0, b)
+                    invalid |= ~np.isfinite(b)
+                    r = a / b
                 else:
-                    neg = a < 0.0
-                    nearest = np.rint(b)
-                    fractional = neg & (np.abs(b - nearest) > INTEGER_POWER_TOLERANCE)
-                    _set_cause(causes, fractional, 5)
-                    zero_neg = (a == 0.0) & (b < 0.0)
-                    _set_cause(causes, zero_neg, 6)
-                    base = np.where(neg, -a, np.where(zero_neg, 1.0, a))
-                    expo = np.where(neg, nearest, b)
-                    mag = np.power(base, expo)
-                    odd = neg & (np.fmod(nearest, 2.0) != 0.0)
-                    r = np.where(odd, -mag, mag)
-            fresh = ~np.isfinite(r) & (causes == CAUSE_OK)
-            _set_cause(causes, fresh & np.isnan(r), 1)
-            _set_cause(causes, fresh & np.isinf(r), 2)
+                    r = _power(a, b, invalid)
             stack.append(r)
-    values = stack[0]
-    values[causes != CAUSE_OK] = np.nan
-    return values, causes
+    values = stack.pop()
+    invalid |= ~np.isfinite(values)
+    return np.where(invalid, np.nan, values), invalid
+
+
+def _power(a, b, invalid: np.ndarray):
+    """``a ** b`` with the reference's sign rule; marks ``invalid``."""
+    if np.ndim(b) == 0:
+        # a constant exponent: numpy's power already gives the reference's
+        # value or a non-finite one, unless b is within the tolerance of an
+        # integer without being one
+        nearest = np.rint(b)
+        if b == nearest or abs(b - nearest) > INTEGER_POWER_TOLERANCE:
+            if b <= 0.0:
+                invalid |= ~np.isfinite(a)
+            return np.power(a, b)
+    invalid |= ~(np.isfinite(a) & np.isfinite(b))
+    neg = a < 0.0
+    nearest = np.rint(b)
+    invalid |= neg & (np.abs(b - nearest) > INTEGER_POWER_TOLERANCE)
+    mag = np.power(np.where(neg, -a, a), np.where(neg, nearest, b))
+    return np.where(neg & (np.fmod(nearest, 2.0) != 0.0), -mag, mag)
 
 
 # ------------------------------------------------------------- dispatcher
@@ -329,10 +321,10 @@ def eval_program_numba(program: Program, X: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def eval_program(program: Program, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate at a batch of points; returns (values, cause codes).
+    """Evaluate at a batch of points; returns (values, invalid mask).
 
     ``X`` has shape (n, dimension).  Invalid points carry NaN in
-    ``values`` and a nonzero entry in ``causes``.
+    ``values`` and True in the mask.
     """
     if X.ndim != 2 or X.shape[1] != program.dimension:
         raise ValueError(f"batch shape {X.shape} does not match dimension {program.dimension}")

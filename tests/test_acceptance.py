@@ -26,7 +26,7 @@ from ebg.expressions import (
     parse,
 )
 from ebg.fitness import FitnessConfig, pooled_rank_fitness
-from ebg.kernels import CAUSE_OK, compile_program, eval_program
+from ebg.kernels import compile_program, eval_program
 from ebg.llm import LiveBackend, RetryPolicy
 from ebg.optimizers import (
     DeConfig,
@@ -87,12 +87,12 @@ def test_criterion_03_showcase_expressions_match_native_oracles():
         (DE_ADVANTAGE_EXAMPLE, de_advantage_native),
     ):
         program = compile_program(parse(text, 5))
-        values, causes = eval_program(program, X)
-        assert np.all(causes == CAUSE_OK)
+        values, invalid = eval_program(program, X)
+        assert not invalid.any()
         expected = np.array([native(row) for row in X])
         assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
-        origin, origin_causes = eval_program(program, np.zeros((1, 5)))
-        assert origin_causes[0] == CAUSE_OK
+        origin, origin_invalid = eval_program(program, np.zeros((1, 5)))
+        assert not origin_invalid[0]
         assert origin[0] == pytest.approx(1.0, abs=1e-15)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ebg import analysis
 from ebg.analysis import (
     CurvatureFeatures,
     InvalidSamplePoint,
@@ -24,7 +25,8 @@ from ebg.engine import (
     run,
     seed_expression,
 )
-from ebg.expressions import parse, render
+from ebg.expressions import evaluate, parse, render
+from ebg.kernels import compile_program
 from ebg.fitness import FitnessConfig
 from ebg.optimizers import DeConfig, GaConfig
 from helpers import FormulaBackend, levenshtein_bruteforce
@@ -86,6 +88,26 @@ def test_sobol_aborts_on_invalid_sample():
         sobol_indices(parse("sqrt(x[0])", 2), base_samples=64, seed=0)
     assert err.value.cause == "sqrt-of-negative"
     assert err.value.point.shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "text, bad, cause",
+    [
+        ("x[1]/x[0]", [0.0, 1.0], "div-by-zero"),
+        ("x[0]**0.5", [-0.5, 0.0], "fractional-power-of-negative"),
+        ("x[0]**-1", [0.0, 0.0], "zero-to-negative-power"),
+        ("sqrt(x[0])", [-0.5, 0.0], "sqrt-of-negative"),
+        ("sinh(1000*x[0])", [1.0, 0.0], "infinite"),
+        ("x[0] + x[1]", [0.0, np.nan], "nan"),  # only a NaN coordinate makes a NaN
+    ],
+)
+def test_analysis_error_names_reference_cause(text, bad, cause):
+    expr = parse(text, 2)
+    X = np.array([[0.5, 0.25], bad, [-0.5, 0.0]])
+    with pytest.raises(InvalidSamplePoint) as err:
+        analysis._eval_or_raise(expr, compile_program(expr), X)
+    assert np.array_equal(err.value.point, X[1], equal_nan=True)
+    assert err.value.cause == evaluate(expr, X[1]).cause == cause
 
 
 def test_sobol_validates_base_samples():

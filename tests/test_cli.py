@@ -189,6 +189,14 @@ def test_generate_replay_miss_is_runtime_abort(tmp_path, capsys):
     assert "run aborted" in capsys.readouterr().err
 
 
+def test_generate_missing_transcript_fails_before_creating_run_dir(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["generate", "--out", str(out), "--replay", str(tmp_path / "missing.jsonl")])
+    assert code == 1
+    assert "cannot read transcript" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -212,6 +220,14 @@ def test_evaluate_rejects_undefined_expression(tmp_path, capsys):
     code = main(["evaluate", "--expr", "sqrt(x[0])", "--config", config])
     assert code == 1
     assert "pre-validation" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_zero_prevalidation_samples(tmp_path, capsys):
+    # zero samples would pass every expression through the gate
+    config = _write_config(tmp_path, fitness={"prevalidation_samples": 0})
+    code = main(["evaluate", "--expr", "sqrt(x[0])", "--config", config])
+    assert code == 1
+    assert "fitness.prevalidation_samples" in capsys.readouterr().err
 
 
 def test_evaluate_reports_parse_errors(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ebg import optimizers
 from ebg.expressions import parse
 from ebg.fitness import (
     BenchmarkEvaluation,
@@ -15,7 +16,7 @@ from ebg.fitness import (
     rank_term_floor,
     run_trials,
 )
-from ebg.optimizers import DeConfig, GaConfig, SearchSpace
+from ebg.optimizers import DeConfig, GaConfig, SearchSpace, run_de, run_ga
 
 TINY_GA = GaConfig(population=10, generations=3)
 TINY_DE = DeConfig(population=10, generations=3)
@@ -143,6 +144,40 @@ def test_run_trials_shape_and_budget():
     for row in outcomes.values():
         for outcome in row:
             assert outcome.evaluations_used == 10 + 3 * 10
+
+
+@pytest.mark.parametrize("text", ["x[0]**2 + x[1]**2", "sqrt(x[0] + 0.99) + x[1]**2"])
+def test_run_trials_match_single_seed_runs(text, monkeypatch):
+    # trials that freeze part-way (the sqrt term turns invalid below
+    # x[0] = -0.99) must leave the trials beside them unchanged
+    expr = parse(text, 2)
+    space = SearchSpace(2)
+    config = FitnessConfig(trials=5, base_seed=1)
+    ga = GaConfig(population=20, generations=30)
+    de = DeConfig(population=8, generations=30)
+    points = []
+    kernel = optimizers.eval_program
+
+    def counting(program, X):
+        points.append(X.shape[0])
+        return kernel(program, X)
+
+    monkeypatch.setattr(optimizers, "eval_program", counting)
+    outcomes = run_trials(expr, config, space, ga, de)
+    assert sum(points) == sum(o.evaluations_used for row in outcomes.values() for o in row)
+
+    for tag, run_one, cfg in (("GA", run_ga, ga), ("DE", run_de, de)):
+        for i, got in enumerate(outcomes[tag]):
+            alone = run_one(expr, space, cfg, derive_trial_seed(config.base_seed, tag, i))
+            assert got.valid == alone.valid
+            assert got.evaluations_used == alone.evaluations_used
+            assert got.best_trace == alone.best_trace
+            assert np.array_equal(got.best_value, alone.best_value, equal_nan=True)
+            assert np.array_equal(got.best_point, alone.best_point, equal_nan=True)
+    if "sqrt" in text:
+        frozen = [o for o in outcomes["DE"] if not o.valid]
+        assert len({o.evaluations_used for o in frozen}) > 1  # at different generations
+        assert any(o.valid for o in outcomes["GA"]) and not all(o.valid for o in outcomes["GA"])
 
 
 # ------------------------------------------------------------- prevalidate
