@@ -24,7 +24,7 @@ import numpy as np
 from .config import raise_problems
 from .expressions import Expression
 from .kernels import compile_program, eval_program
-from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de_trials, run_ga_trials
+from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de, run_ga
 
 ALGORITHM_TAGS = ("GA", "DE")
 _TAG_CODES = {"GA": 1, "DE": 2}
@@ -128,6 +128,12 @@ def derive_trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
+def _run_one(tag: str, objective, space, ga_config, de_config, seed: int) -> TrialOutcome:
+    if tag == "GA":
+        return run_ga(objective, space, ga_config, seed)
+    return run_de(objective, space, de_config, seed)
+
+
 def run_trials(
     expr: Expression,
     config: FitnessConfig,
@@ -135,19 +141,12 @@ def run_trials(
     ga_config: GaConfig,
     de_config: DeConfig,
 ) -> dict[str, list[TrialOutcome]]:
-    """All 2T seeded trials, keyed by algorithm tag, in trial order.
-
-    The T trials of one algorithm run in lockstep; each keeps the
-    outcome it would have alone with its seed.
-    """
+    """All 2T seeded trials, keyed by algorithm tag, in trial order."""
     program = compile_program(expr)
     outcomes: dict[str, list[TrialOutcome]] = {}
     for tag in (config.a1, config.a2):
         seeds = [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)]
-        if tag == "GA":
-            outcomes[tag] = run_ga_trials(program, space, ga_config, seeds)
-        else:
-            outcomes[tag] = run_de_trials(program, space, de_config, seeds)
+        outcomes[tag] = [_run_one(tag, program, space, ga_config, de_config, s) for s in seeds]
     return outcomes
 
 

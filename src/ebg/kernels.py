@@ -284,15 +284,6 @@ def _eval_program_vectorized(codes, operands, X):
 
 def _power(a, b, invalid: np.ndarray):
     """``a ** b`` with the reference's sign rule; marks ``invalid``."""
-    if np.ndim(b) == 0:
-        # a constant exponent: numpy's power already gives the reference's
-        # value or a non-finite one, unless b is within the tolerance of an
-        # integer without being one
-        nearest = np.rint(b)
-        if b == nearest or abs(b - nearest) > INTEGER_POWER_TOLERANCE:
-            if b <= 0.0:
-                invalid |= ~np.isfinite(a)
-            return np.power(a, b)
     invalid |= ~(np.isfinite(a) & np.isfinite(b))
     neg = a < 0.0
     nearest = np.rint(b)

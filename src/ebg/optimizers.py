@@ -1,15 +1,9 @@
 """Inner optimizers: a real-coded GA and differential evolution.
 
 These are the two algorithms whose performance gap defines benchmark
-fitness.  Both minimize over a box and abort a trial the moment any
-objective evaluation is invalid (domain error, NaN, or infinity).
-
-All trials of one algorithm run in lockstep: the population is one
-(trials, population, dimension) array, the operators act on every trial
-at once, and each generation makes one kernel call over the rows of the
-trials still running.  Each trial draws only from its own generator
-(:class:`TrialStreams`), so its outcome does not depend on which trials
-run beside it.
+fitness.  Both minimize over a box, evaluate whole populations through
+the batch kernels, and abort a trial the moment any objective
+evaluation is invalid (domain error, NaN, or infinity).
 
 GA: binary tournament selection, simulated binary crossover (SBX),
 per-variable polynomial mutation, (mu + lambda) survivor selection.
@@ -106,49 +100,6 @@ class TrialOutcome:
     best_trace: tuple[float, ...]
 
 
-# ------------------------------------------------------------ random draws
-
-
-class TrialStreams:
-    """One ``np.random.Generator`` per trial, drawn from as one.
-
-    The leading axis of every draw is the trial axis, and row t comes
-    from generator t alone, so a trial's numbers do not depend on the
-    trials beside it.  The operators below draw through ``rng.random``
-    and ``rng.integers``, so they take either this or a single
-    ``Generator`` (one trial, no trial axis).
-    """
-
-    def __init__(self, generators: list[np.random.Generator]):
-        self.generators = generators
-
-    def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.empty(shape)
-        for g, row in zip(self.generators, out):
-            g.random(out=row)
-        return out
-
-    def integers(self, low: int, high: int, shape: tuple[int, ...]) -> np.ndarray:
-        # scaled uniforms: Generator.integers costs several times more per
-        # call, and a draw in [0, 1) times high - low stays below it
-        return low + (self.random(shape) * (high - low)).astype(np.int64)
-
-    def uniform(self, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
-        return low + (high - low) * self.random(shape)
-
-    def subset(self, keep: np.ndarray) -> "TrialStreams":
-        return TrialStreams([g for g, k in zip(self.generators, keep) if k])
-
-
-# what the operators draw from: one trial's generator, or every trial's
-Rng = np.random.Generator | TrialStreams
-
-
-def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[t, index[t, i]]``: rows of each trial's population (or values)."""
-    return a[np.arange(a.shape[0])[:, None], index]
-
-
 # ------------------------------------------------------------ GA operators
 
 
@@ -167,15 +118,17 @@ def sbx_children(p1: np.ndarray, p2: np.ndarray, beta: np.ndarray) -> tuple[np.n
 
 
 def sbx_pair(
-    p1: np.ndarray, p2: np.ndarray, eta: float, rng: Rng
+    p1: np.ndarray, p2: np.ndarray, eta: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene SBX over arrays of parents (..., d): each gene crosses
-    with probability 0.5, else it is copied straight from the respective
-    parent."""
-    cross = rng.random(p1.shape) < 0.5
-    beta = sbx_spread(rng.random(p1.shape), eta)
+    """Per-gene SBX: each gene crosses with probability 0.5, else it is
+    copied straight from the respective parent."""
+    d = p1.shape[0]
+    cross = rng.random(d) < 0.5
+    beta = sbx_spread(rng.random(d), eta)
     a, b = sbx_children(p1, p2, beta)
-    return np.where(cross, a, p1), np.where(cross, b, p2)
+    c1 = np.where(cross, a, p1)
+    c2 = np.where(cross, b, p2)
+    return c1, c2
 
 
 def pm_delta(u: np.ndarray, eta: float) -> np.ndarray:
@@ -194,60 +147,22 @@ def polynomial_mutation(
     eta: float,
     rate: float,
     space: SearchSpace,
-    rng: Rng,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Mutate each gene of ``x`` (..., d) with probability ``rate``;
-    negative offsets move toward the lower bound, positive ones toward
-    the upper bound."""
-    mutate = rng.random(x.shape) < rate
-    delta = pm_delta(rng.random(x.shape), eta)
+    """Mutate each gene with probability ``rate``; negative offsets move
+    toward the lower bound, positive ones toward the upper bound."""
+    d = x.shape[0]
+    mutate = rng.random(d) < rate
+    u = rng.random(d)
+    delta = pm_delta(u, eta)
     step = np.where(delta < 0.0, x - space.lower, space.upper - x)
     return np.where(mutate, x + delta * step, x)
 
 
-def tournament_select(values: np.ndarray, size: int, rng: Rng, picks: tuple[int, ...] = ()):
-    """Indices into the last axis of ``values`` of tournament winners,
-    each the best of ``size`` uniformly drawn contenders: an array of
-    shape ``values.shape[:-1] + picks``, or one index for 1-d values and
-    no ``picks``."""
-    lead = values.shape[:-1]
-    contenders = rng.integers(0, values.shape[-1], lead + picks + (size,))
-    scores = np.take_along_axis(
-        values.reshape(lead + (1,) * len(picks) + values.shape[-1:]), contenders, axis=-1
-    )
-    best = np.argmin(scores, axis=-1)[..., None]
-    return np.take_along_axis(contenders, best, axis=-1)[..., 0][()]
-
-
-def ga_offspring(
-    pop: np.ndarray, values: np.ndarray, config: GaConfig, space: SearchSpace, rng: Rng
-) -> np.ndarray:
-    """One generation of children for every trial: pairs of tournament
-    winners cross by SBX with probability ``crossover_rate``, then every
-    child is mutated and clipped to the box.  ``pop`` is (trials, n, d)."""
-    n = pop.shape[1]
-    n_pairs = (n + 1) // 2
-    winners = tournament_select(values, config.tournament_size, rng, (2 * n_pairs,))
-    parents = _take_rows(pop, winners)
-    p1, p2 = parents[:, 0::2], parents[:, 1::2]
-    crossed = (rng.random(p1.shape[:-1]) < config.crossover_rate)[..., None]
-    c1, c2 = sbx_pair(p1, p2, config.eta_crossover, rng)
-    children = np.empty_like(parents)
-    children[:, 0::2] = np.where(crossed, c1, p1)
-    children[:, 1::2] = np.where(crossed, c2, p2)
-    children = polynomial_mutation(children, config.eta_mutation, config.mutation_rate, space, rng)
-    return np.clip(children[:, :n], space.lower, space.upper)
-
-
-def mu_plus_lambda(
-    pop: np.ndarray, values: np.ndarray, children: np.ndarray, child_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The best n of parents and children per trial, ascending; a stable
-    sort keeps a parent ahead of an equal child."""
-    n = pop.shape[1]
-    pooled_values = np.concatenate([values, child_values], axis=1)
-    keep = np.argsort(pooled_values, axis=1, kind="stable")[:, :n]
-    return _take_rows(np.concatenate([pop, children], axis=1), keep), _take_rows(pooled_values, keep)
+def tournament_select(values: np.ndarray, size: int, rng: np.random.Generator) -> int:
+    """Index of the best of ``size`` uniformly drawn contenders."""
+    contenders = rng.integers(0, values.shape[0], size)
+    return int(contenders[np.argmin(values[contenders])])
 
 
 # ------------------------------------------------------------ DE operators
@@ -258,181 +173,55 @@ def de_combine(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, weight_f: float) 
     return x1 + weight_f * (x2 - x3)
 
 
-def binomial_crossover(target: np.ndarray, mutant: np.ndarray, cr: float, rng: Rng) -> np.ndarray:
-    """Gene-wise mix over arrays (..., d); one forced position per
-    vector guarantees the trial differs from its target in at least one
-    gene even at cr == 0."""
-    d = target.shape[-1]
-    take = rng.random(target.shape) < cr
-    forced = rng.integers(0, d, target.shape[:-1])
-    take |= np.arange(d) == forced[..., None]
+def binomial_crossover(
+    target: np.ndarray, mutant: np.ndarray, cr: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Gene-wise mix; one forced position guarantees the trial differs
+    from its target in at least one gene even at cr == 0."""
+    d = target.shape[0]
+    take = rng.random(d) < cr
+    take[int(rng.integers(0, d))] = True
     return np.where(take, mutant, target)
 
 
-def distinct_indices(rng: Rng, shape: tuple[int, ...], count: int) -> np.ndarray:
-    """``count`` population indices per member, shape ``shape + (count,)``
-    for members ``i`` along the last axis of ``shape``: uniform over the
-    indices other than ``i`` and each other.
-
-    Draw k uniformly from the n - 1 - j indices still free, then step k
-    past each excluded index in ascending order.
-    """
-    n = shape[-1]
-    excluded = np.broadcast_to(np.arange(n), shape)[..., None]
-    picked = []
-    for j in range(count):
-        k = rng.integers(0, n - 1 - j, shape)
-        for e in np.moveaxis(np.sort(excluded, axis=-1), -1, 0):
-            k = k + (k >= e)
-        picked.append(k)
-        excluded = np.concatenate([excluded, k[..., None]], axis=-1)
-    return np.stack(picked, axis=-1)
-
-
-def de_trial_vectors(
-    pop: np.ndarray, config: DeConfig, space: SearchSpace, rng: Rng
-) -> np.ndarray:
-    """rand/1/bin trial vectors for every member of every trial, clipped
-    to the box.  ``pop`` is (trials, n, d)."""
-    r = distinct_indices(rng, pop.shape[:-1], 3)
-    mutant = de_combine(
-        _take_rows(pop, r[..., 0]), _take_rows(pop, r[..., 1]), _take_rows(pop, r[..., 2]),
-        config.weight_f,
-    )
-    trials = binomial_crossover(pop, mutant, config.crossover_cr, rng)
-    return np.clip(trials, space.lower, space.upper)
-
-
-def greedy_replace(
-    pop: np.ndarray, values: np.ndarray, trials: np.ndarray, trial_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial vector replaces its target when it is no worse."""
-    better = trial_values <= values
-    return np.where(better[..., None], trials, pop), np.where(better, trial_values, values)
+def _distinct_indices(rng: np.random.Generator, n: int, exclude: int, count: int) -> list[int]:
+    picked: list[int] = []
+    while len(picked) < count:
+        c = int(rng.integers(0, n))
+        if c != exclude and c not in picked:
+            picked.append(c)
+    return picked
 
 
 # ---------------------------------------------------------------- run loops
 
 
-def _as_program(objective: Expression | Program, space: SearchSpace) -> Program:
-    program = compile_program(objective) if isinstance(objective, Expression) else objective
-    if program.dimension != space.dimension:
-        raise ValueError("objective dimension does not match the search space")
-    return program
+def _as_program(objective: Expression | Program) -> Program:
+    if isinstance(objective, Expression):
+        return compile_program(objective)
+    return objective
 
 
-class _Lockstep:
-    """Bookkeeping for trials run in lockstep.
-
-    Holds the trials still running (their ids and generators), each
-    trial's best-so-far trace and the outcomes of the trials that are
-    done.  A trial freezes at its first batch with an invalid value;
-    that batch counts toward its evaluations but not toward its trace,
-    and its rows take no part in later kernel calls.
-    """
-
-    def __init__(self, program: Program, space: SearchSpace, population: int,
-                 generations: int, seeds: list[int]):
-        self.program = program
-        self.space = space
-        self.population = population
-        self.ids = np.arange(len(seeds))
-        self.streams = TrialStreams([np.random.default_rng(s) for s in seeds])
-        self.trace = np.empty((len(seeds), generations + 1))
-        self.batches = 0  # batches evaluated by every running trial
-        self.outcomes: list[TrialOutcome | None] = [None] * len(seeds)
-
-    @property
-    def running(self) -> bool:
-        return self.ids.size > 0
-
-    def initial_population(self) -> np.ndarray:
-        shape = (self.ids.size, self.population, self.space.dimension)
-        return self.streams.uniform(self.space.lower, self.space.upper, shape)
-
-    def evaluate(self, X: np.ndarray, *carried: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Values at the candidates X (running trials, n, d), returned
-        after X as (X, values, *carried).  Trials with an invalid value
-        freeze here and their rows leave every returned array."""
-        m, n, d = X.shape
-        values, invalid = eval_program(self.program, X.reshape(m * n, d))
-        self.batches += 1
-        failed = invalid.reshape(m, n).any(axis=1)
-        if failed.any():
-            for t in self.ids[failed]:
-                self.outcomes[t] = TrialOutcome(
-                    best_value=float("nan"),
-                    best_point=np.full(d, np.nan),
-                    evaluations_used=self.batches * n,
-                    valid=False,
-                    best_trace=tuple(self.trace[t, : self.batches - 1].tolist()),
-                )
-            keep = ~failed
-            self.ids = self.ids[keep]
-            self.streams = self.streams.subset(keep)
-            return (X[keep], values.reshape(m, n)[keep], *(a[keep] for a in carried))
-        return (X, values.reshape(m, n), *carried)
-
-    def record(self, best: np.ndarray) -> None:
-        """Best-so-far value of each running trial after the last batch."""
-        self.trace[self.ids, self.batches - 1] = best
-
-    def finish(self, best_points: np.ndarray, best_values: np.ndarray) -> list[TrialOutcome]:
-        for t, point, value in zip(self.ids, best_points, best_values):
-            self.outcomes[t] = TrialOutcome(
-                best_value=float(value),
-                best_point=point.copy(),
-                evaluations_used=self.batches * self.population,
-                valid=True,
-                best_trace=tuple(self.trace[t, : self.batches].tolist()),
-            )
-        return self.outcomes
+class _InvalidEvaluation(Exception):
+    pass
 
 
-def run_ga_trials(
-    objective: Expression | Program,
-    space: SearchSpace,
-    config: GaConfig,
-    seeds: list[int],
-) -> list[TrialOutcome]:
-    """One GA trial per seed, all in lockstep, in seed order."""
-    run = _Lockstep(_as_program(objective, space), space, config.population,
-                    config.generations, seeds)
-    pop, values = run.evaluate(run.initial_population())
-    order = np.argsort(values, axis=1, kind="stable")
-    pop, values = _take_rows(pop, order), _take_rows(values, order)
-    run.record(values[:, 0])
-    for _ in range(config.generations):
-        if not run.running:
-            break
-        children = ga_offspring(pop, values, config, space, run.streams)
-        children, child_values, pop, values = run.evaluate(children, pop, values)
-        pop, values = mu_plus_lambda(pop, values, children, child_values)
-        run.record(values[:, 0])
-    return run.finish(pop[:, 0], values[:, 0])
+def _evaluate_batch(program: Program, X: np.ndarray, counter: list[int]) -> np.ndarray:
+    values, invalid = eval_program(program, X)
+    counter[0] += X.shape[0]
+    if invalid.any():
+        raise _InvalidEvaluation
+    return values
 
 
-def run_de_trials(
-    objective: Expression | Program,
-    space: SearchSpace,
-    config: DeConfig,
-    seeds: list[int],
-) -> list[TrialOutcome]:
-    """One DE trial per seed, all in lockstep, in seed order."""
-    run = _Lockstep(_as_program(objective, space), space, config.population,
-                    config.generations, seeds)
-    pop, values = run.evaluate(run.initial_population())
-    run.record(values.min(axis=1))
-    for _ in range(config.generations):
-        if not run.running:
-            break
-        trials = de_trial_vectors(pop, config, space, run.streams)
-        trials, trial_values, pop, values = run.evaluate(trials, pop, values)
-        pop, values = greedy_replace(pop, values, trials, trial_values)
-        run.record(values.min(axis=1))
-    best = np.argmin(values, axis=1)
-    rows = np.arange(best.size)
-    return run.finish(pop[rows, best], values[rows, best])
+def _invalid_outcome(dimension: int, evaluations: int, trace: list[float]) -> TrialOutcome:
+    return TrialOutcome(
+        best_value=float("nan"),
+        best_point=np.full(dimension, np.nan),
+        evaluations_used=evaluations,
+        valid=False,
+        best_trace=tuple(trace),
+    )
 
 
 def run_ga(
@@ -442,7 +231,57 @@ def run_ga(
     seed: int = 0,
 ) -> TrialOutcome:
     """One seeded GA trial; deterministic for identical inputs."""
-    return run_ga_trials(objective, space, config, [seed])[0]
+    program = _as_program(objective)
+    if program.dimension != space.dimension:
+        raise ValueError("objective dimension does not match the search space")
+    rng = np.random.default_rng(seed)
+    n, d = config.population, space.dimension
+    counter = [0]
+    trace: list[float] = []
+
+    pop = rng.uniform(space.lower, space.upper, (n, d))
+    try:
+        values = _evaluate_batch(program, pop, counter)
+    except _InvalidEvaluation:
+        return _invalid_outcome(d, counter[0], trace)
+    order = np.argsort(values, kind="stable")
+    pop, values = pop[order], values[order]
+    trace.append(float(values[0]))
+
+    n_pairs = (n + 1) // 2
+    for _ in range(config.generations):
+        children = np.empty((2 * n_pairs, d))
+        for k in range(n_pairs):
+            i1 = tournament_select(values, config.tournament_size, rng)
+            i2 = tournament_select(values, config.tournament_size, rng)
+            if rng.random() < config.crossover_rate:
+                c1, c2 = sbx_pair(pop[i1], pop[i2], config.eta_crossover, rng)
+            else:
+                c1, c2 = pop[i1].copy(), pop[i2].copy()
+            children[2 * k] = polynomial_mutation(
+                c1, config.eta_mutation, config.mutation_rate, space, rng
+            )
+            children[2 * k + 1] = polynomial_mutation(
+                c2, config.eta_mutation, config.mutation_rate, space, rng
+            )
+        children = np.clip(children[:n], space.lower, space.upper)
+        try:
+            child_values = _evaluate_batch(program, children, counter)
+        except _InvalidEvaluation:
+            return _invalid_outcome(d, counter[0], trace)
+        pooled = np.vstack([pop, children])
+        pooled_values = np.concatenate([values, child_values])
+        keep = np.argsort(pooled_values, kind="stable")[:n]
+        pop, values = pooled[keep], pooled_values[keep]
+        trace.append(float(values[0]))
+
+    return TrialOutcome(
+        best_value=float(values[0]),
+        best_point=pop[0].copy(),
+        evaluations_used=counter[0],
+        valid=True,
+        best_trace=tuple(trace),
+    )
 
 
 def run_de(
@@ -452,4 +291,42 @@ def run_de(
     seed: int = 0,
 ) -> TrialOutcome:
     """One seeded DE trial; deterministic for identical inputs."""
-    return run_de_trials(objective, space, config, [seed])[0]
+    program = _as_program(objective)
+    if program.dimension != space.dimension:
+        raise ValueError("objective dimension does not match the search space")
+    rng = np.random.default_rng(seed)
+    n, d = config.population, space.dimension
+    counter = [0]
+    trace: list[float] = []
+
+    pop = rng.uniform(space.lower, space.upper, (n, d))
+    try:
+        values = _evaluate_batch(program, pop, counter)
+    except _InvalidEvaluation:
+        return _invalid_outcome(d, counter[0], trace)
+    trace.append(float(values.min()))
+
+    for _ in range(config.generations):
+        trials = np.empty_like(pop)
+        for i in range(n):
+            r1, r2, r3 = _distinct_indices(rng, n, i, 3)
+            mutant = de_combine(pop[r1], pop[r2], pop[r3], config.weight_f)
+            trials[i] = binomial_crossover(pop[i], mutant, config.crossover_cr, rng)
+        trials = np.clip(trials, space.lower, space.upper)
+        try:
+            trial_values = _evaluate_batch(program, trials, counter)
+        except _InvalidEvaluation:
+            return _invalid_outcome(d, counter[0], trace)
+        better = trial_values <= values
+        pop[better] = trials[better]
+        values[better] = trial_values[better]
+        trace.append(float(values.min()))
+
+    best = int(np.argmin(values))
+    return TrialOutcome(
+        best_value=float(values[best]),
+        best_point=pop[best].copy(),
+        evaluations_used=counter[0],
+        valid=True,
+        best_trace=tuple(trace),
+    )

@@ -152,7 +152,7 @@ def test_run_trials_match_single_seed_runs(text, monkeypatch):
     # x[0] = -0.99) must leave the trials beside them unchanged
     expr = parse(text, 2)
     space = SearchSpace(2)
-    config = FitnessConfig(trials=5, base_seed=1)
+    config = FitnessConfig(trials=5, base_seed=2)
     ga = GaConfig(population=20, generations=30)
     de = DeConfig(population=8, generations=30)
     points = []

@@ -23,7 +23,6 @@ CASES = [
 ]
 
 
-
 def eval_program_scalar_twin(prog, X):
     """The numba kernel's source run as plain Python, so the twin is
     checked even where numba is missing."""

@@ -8,10 +8,8 @@ from ebg.optimizers import (
     DeConfig,
     GaConfig,
     SearchSpace,
-    TrialStreams,
     binomial_crossover,
     de_combine,
-    distinct_indices,
     pm_delta,
     polynomial_mutation,
     run_de,
@@ -126,34 +124,6 @@ def test_tournament_select_prefers_lower_value():
     assert 1 in picks
     hits = [tournament_select(values, 30, np.random.default_rng(s)) for s in range(10)]
     assert all(h == 1 for h in hits)
-
-
-def test_distinct_indices_exclude_self_and_each_other():
-    rng = TrialStreams([np.random.default_rng(s) for s in range(3)])
-    counts = np.zeros((6, 6))
-    for _ in range(400):
-        r = distinct_indices(rng, (3, 6), 3)
-        assert r.shape == (3, 6, 3)
-        members = np.arange(6)[None, :, None]
-        assert np.all(r != members)
-        assert np.all((r[..., 0] != r[..., 1]) & (r[..., 0] != r[..., 2]) & (r[..., 1] != r[..., 2]))
-        for j in range(3):
-            np.add.at(counts, (np.broadcast_to(np.arange(6), (3, 6)), r[..., j]), 1)
-    # each of the 5 other members is drawn equally often: 3 * 400 * 3 / 5 = 720
-    off = counts[~np.eye(6, dtype=bool)]
-    assert np.all(np.abs(off - 720) < 120) and np.all(np.diag(counts) == 0)
-
-
-def test_trial_streams_rows_come_from_their_own_generator():
-    def draws(neighbour):
-        streams = TrialStreams([np.random.default_rng(1), np.random.default_rng(neighbour)])
-        return streams.random((2, 3, 4)), streams.integers(0, 9, (2, 500))
-
-    (real_a, int_a), (real_b, int_b) = draws(2), draws(3)
-    assert np.array_equal(real_a[0], np.random.default_rng(1).random((3, 4)))
-    assert np.array_equal(real_a[0], real_b[0]) and np.array_equal(int_a[0], int_b[0])
-    assert not np.array_equal(real_a[1], real_b[1])
-    assert set(np.unique(int_a)) == set(range(9))
 
 
 # ------------------------------------------------------------------ run_ga
