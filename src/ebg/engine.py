@@ -8,10 +8,15 @@ probability ``crossover_rate`` (two uniform-random parents) and mutation
 otherwise (one parent).  Survivors are the best N of parents plus
 offspring by ascending fitness, ties broken toward older individuals.
 
+Every LLM-made individual, at initialization or later, takes one path,
+``_breed``: prompt with its parents, generate and pre-validate, charge
+exhausted attempts to the run-wide budget, evaluate and log the child.
+
 A run persists incrementally into a directory: the config snapshot, one
 population file per generation, a lineage event log, and a best-so-far
-summary.  Given the same config, seed, and a recorded transcript, a run
-reproduces byte-identically.
+summary.  Opening a directory clears what an earlier run wrote there,
+except a transcript.  Given the same config, seed, and a recorded
+transcript, a run reproduces byte-identically.
 """
 
 from __future__ import annotations
@@ -203,11 +208,13 @@ def _admit(
     config: EngineConfig,
     expr: Expression,
     origin: str,
-    parent_ids: tuple[int, ...],
+    parents: list[Benchmark],
     generation: int,
-    attempts: int,
-    identical: bool,
+    attempts: int = 0,
+    identical: bool = False,
 ) -> Benchmark:
+    """Evaluate ``expr``, give it the next id, and log its creation."""
+    parent_ids = tuple(parent.id for parent in parents)
     text = render(expr)
     evaluation = _evaluate(state, config, expr, text)
     benchmark = Benchmark(
@@ -235,14 +242,50 @@ def _admit(
     return benchmark
 
 
-def _spend_failure(state: EngineState, config: EngineConfig, err: AttemptsExhausted) -> None:
-    """Charge a failed offspring against the run-wide attempt budget."""
-    state.failed_attempts += err.attempts
-    if state.failed_attempts >= config.retry.global_failure_cap:
-        raise EngineAbort(
-            f"aborting run: {state.failed_attempts} failed generation attempts "
-            f"(cap {config.retry.global_failure_cap}); last cause: {err.last_cause}"
-        ) from err
+_PROMPT_KINDS = {ORIGIN_INIT: "init", ORIGIN_CROSSOVER: "crossover", ORIGIN_MUTATION: "mutation"}
+
+
+def _breed(
+    state: EngineState,
+    config: EngineConfig,
+    client: ChatBackend,
+    validator: Callable[[Expression], bool],
+    origin: str,
+    parents: list[Benchmark],
+    generation: int,
+) -> Benchmark | None:
+    """The single offspring path: prompt with ``parents``, admit the child.
+
+    Returns None when the offspring's attempts run out; they are charged
+    against the run-wide budget, which raises EngineAbort when spent.
+    """
+    spec = PromptSpec(
+        kind=_PROMPT_KINDS[origin],
+        dimension=config.dimension,
+        a1=config.fitness.a1,
+        a2=config.fitness.a2,
+        examples=tuple(parent.text for parent in parents),
+    )
+    try:
+        result = generate_offspring(spec, client, config.retry, validator)
+    except AttemptsExhausted as err:
+        state.failed_attempts += err.attempts
+        if state.failed_attempts >= config.retry.global_failure_cap:
+            raise EngineAbort(
+                f"aborting run: {state.failed_attempts} failed generation attempts "
+                f"(cap {config.retry.global_failure_cap}); last cause: {err.last_cause}"
+            ) from err
+        return None
+    return _admit(
+        state,
+        config,
+        result.expression,
+        origin,
+        parents,
+        generation,
+        attempts=result.attempts,
+        identical=result.identical_to_parent,
+    )
 
 
 def initialize_population(
@@ -260,43 +303,11 @@ def initialize_population(
     if state is None:
         state = EngineState()
     validator = _validator(config)
-    population = [
-        _admit(
-            state,
-            config,
-            seed_expression(config.dimension),
-            ORIGIN_SEED,
-            (),
-            generation=0,
-            attempts=0,
-            identical=False,
-        )
-    ]
+    population = [_admit(state, config, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
     while len(population) < config.population_size:
-        spec = PromptSpec(
-            kind="init",
-            dimension=config.dimension,
-            a1=config.fitness.a1,
-            a2=config.fitness.a2,
-            examples=tuple(member.text for member in population),
-        )
-        try:
-            result = generate_offspring(spec, client, config.retry, validator)
-        except AttemptsExhausted as err:
-            _spend_failure(state, config, err)
-            continue
-        population.append(
-            _admit(
-                state,
-                config,
-                result.expression,
-                ORIGIN_INIT,
-                tuple(member.id for member in population),
-                generation=0,
-                attempts=result.attempts,
-                identical=result.identical_to_parent,
-            )
-        )
+        child = _breed(state, config, client, validator, ORIGIN_INIT, population, 0)
+        if child is not None:
+            population.append(child)
     return population
 
 
@@ -324,39 +335,17 @@ def step_generation(
     before = len(state.lineage)
     offspring: list[Benchmark] = []
     while len(offspring) < config.population_size:
-        crossover = rng.random() < config.crossover_rate and len(population) >= 2
-        if crossover:
+        # rng.random() is drawn before the size check, whatever its outcome
+        if rng.random() < config.crossover_rate and len(population) >= 2:
             picks = rng.choice(len(population), size=2, replace=False)
-            parents = (population[int(picks[0])], population[int(picks[1])])
-            kind = ORIGIN_CROSSOVER
+            parents = [population[int(picks[0])], population[int(picks[1])]]
+            origin = ORIGIN_CROSSOVER
         else:
-            pick = int(rng.integers(len(population)))
-            parents = (population[pick],)
-            kind = ORIGIN_MUTATION
-        spec = PromptSpec(
-            kind="crossover" if crossover else "mutation",
-            dimension=config.dimension,
-            a1=config.fitness.a1,
-            a2=config.fitness.a2,
-            examples=tuple(parent.text for parent in parents),
-        )
-        try:
-            result = generate_offspring(spec, client, config.retry, validator)
-        except AttemptsExhausted as err:
-            _spend_failure(state, config, err)
-            continue
-        offspring.append(
-            _admit(
-                state,
-                config,
-                result.expression,
-                kind,
-                tuple(parent.id for parent in parents),
-                generation=generation,
-                attempts=result.attempts,
-                identical=result.identical_to_parent,
-            )
-        )
+            parents = [population[int(rng.integers(len(population)))]]
+            origin = ORIGIN_MUTATION
+        child = _breed(state, config, client, validator, origin, parents, generation)
+        if child is not None:
+            offspring.append(child)
     survivors = select_survivors(population + offspring, config.population_size)
     return survivors, state.lineage[before:]
 
@@ -399,25 +388,15 @@ def benchmark_from_record(record: dict, dimension: int) -> Benchmark:
 
 
 def event_to_record(event: LineageEvent) -> dict:
-    return {
-        "child_id": event.child_id,
-        "kind": event.kind,
-        "parent_ids": list(event.parent_ids),
-        "attempts": event.attempts,
-        "identical": event.identical,
-        "generation": event.generation,
-    }
+    record = {f.name: getattr(event, f.name) for f in dataclasses.fields(LineageEvent)}
+    record["parent_ids"] = list(event.parent_ids)
+    return record
 
 
 def event_from_record(record: dict) -> LineageEvent:
-    return LineageEvent(
-        child_id=record["child_id"],
-        kind=record["kind"],
-        parent_ids=tuple(record["parent_ids"]),
-        attempts=record["attempts"],
-        identical=record["identical"],
-        generation=record["generation"],
-    )
+    values = {f.name: record[f.name] for f in dataclasses.fields(LineageEvent)}
+    values["parent_ids"] = tuple(values["parent_ids"])
+    return LineageEvent(**values)
 
 
 def config_to_dict(config: EngineConfig) -> dict:
@@ -444,9 +423,10 @@ class _Persister:
         self.out = out
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-            lineage = out / LINEAGE_FILE
-            if lineage.exists():
-                lineage.unlink()
+            # a reused directory keeps transcript.jsonl, which --replay
+            # may read, and loses everything an earlier run wrote
+            for stale in [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]:
+                stale.unlink(missing_ok=True)
 
     def config(self, config: EngineConfig) -> None:
         if self.out is None:
@@ -478,16 +458,15 @@ def _best_of(population: list[Benchmark]) -> Benchmark:
 
 
 def _best_payload(
-    best: Benchmark,
+    populations: list[list[Benchmark]],
     trace: list[float],
     state: EngineState,
-    generations_completed: int,
     aborted: bool,
 ) -> dict:
     return {
-        "best": benchmark_to_record(best),
+        "best": benchmark_to_record(_best_of(populations[-1])),
         "best_fitness_per_generation": trace,
-        "generations_completed": generations_completed,
+        "generations_completed": len(populations),
         "evaluated_benchmarks": state.evaluated_benchmarks,
         "inner_trials_total": state.inner_trials_total,
         "aborted": aborted,
@@ -509,69 +488,54 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     populations: list[list[Benchmark]] = []
     trace: list[float] = []
     try:
-        population = initialize_population(config, client, state)
-        populations.append(population)
-        trace.append(_best_of(population).fitness)
-        persister.snapshot(0, population)
-        persister.best(_best_payload(_best_of(population), trace, state, 1, aborted=False))
-        for generation in range(1, config.max_generations):
-            population, _ = step_generation(population, config, client, rng, generation, state)
+        for generation in range(config.max_generations):
+            if generation == 0:
+                population = initialize_population(config, client, state)
+            else:
+                population, _ = step_generation(population, config, client, rng, generation, state)
             populations.append(population)
             trace.append(_best_of(population).fitness)
             persister.snapshot(generation, population)
-            persister.best(
-                _best_payload(_best_of(population), trace, state, generation + 1, aborted=False)
-            )
+            persister.best(_best_payload(populations, trace, state, aborted=False))
     except (TranscriptMissError, EngineAbort):
         if populations:
-            persister.best(
-                _best_payload(
-                    _best_of(populations[-1]), trace, state, len(populations), aborted=True
-                )
-            )
+            persister.best(_best_payload(populations, trace, state, aborted=True))
         raise
-    best = _best_of(populations[-1])
-    record = RunRecord(
+    return RunRecord(
         config=config,
         populations=populations,
         lineage=list(state.lineage),
         best_per_generation=trace,
-        best=best,
+        best=_best_of(populations[-1]),
         evaluated_benchmarks=state.evaluated_benchmarks,
         inner_trials_total=state.inner_trials_total,
         aborted=False,
         output_dir=config.output_dir,
     )
-    return record
 
 
 # ------------------------------------------------------------------ loading
 
 
-def load_lineage(path: str | Path) -> list[LineageEvent]:
-    events = []
+def _read_jsonl(path: str | Path, what: str, decode: Callable[[dict], object]) -> list:
+    items = []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                events.append(event_from_record(json.loads(line)))
+                items.append(decode(json.loads(line)))
             except (json.JSONDecodeError, KeyError) as err:
-                raise ValueError(f"{path}:{number}: bad lineage record: {err}") from err
-    return events
+                raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
+    return items
+
+
+def load_lineage(path: str | Path) -> list[LineageEvent]:
+    return _read_jsonl(path, "lineage", event_from_record)
 
 
 def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
-    members = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                members.append(benchmark_from_record(json.loads(line), dimension))
-            except (json.JSONDecodeError, KeyError) as err:
-                raise ValueError(f"{path}:{number}: bad benchmark record: {err}") from err
-    return members
+    return _read_jsonl(path, "benchmark", lambda record: benchmark_from_record(record, dimension))
 
 
 def load_run(directory: str | Path) -> RunRecord:
@@ -588,6 +552,11 @@ def load_run(directory: str | Path) -> RunRecord:
         raise FileNotFoundError(f"no population snapshots in {out}")
     lineage = load_lineage(out / LINEAGE_FILE)
     summary = json.loads((out / BEST_FILE).read_text(encoding="utf-8"))
+    if len(populations) != summary["generations_completed"]:
+        raise ValueError(
+            f"{out} holds {len(populations)} population snapshots, but {BEST_FILE} "
+            f"reports {summary['generations_completed']} completed generations"
+        )
     best = benchmark_from_record(summary["best"], config.dimension)
     return RunRecord(
         config=config,

@@ -72,20 +72,16 @@ class BenchmarkEvaluation:
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ascending 1-based ranks with ties sharing their average rank."""
+    """Ascending 1-based ranks with ties sharing their average rank.
+
+    A value whose ties fill sorted positions lo..hi-1 (0-based) gets the
+    mean of ranks lo+1..hi, which is (lo + hi + 1) / 2.
+    """
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    ordered = np.sort(values)
+    lo = np.searchsorted(ordered, values, side="left")
+    hi = np.searchsorted(ordered, values, side="right")
+    return (lo + hi + 1) / 2.0
 
 
 def pooled_rank_fitness(

@@ -350,7 +350,6 @@ class RecordingBackend:
     def __init__(self, inner: ChatBackend, path: str | Path):
         self.inner = inner
         self.path = Path(path)
-        self.entries: list[TranscriptEntry] = []
 
     def complete(self, prompt: str) -> str:
         response = self.inner.complete(prompt)
@@ -361,7 +360,6 @@ class RecordingBackend:
             backend=getattr(self.inner, "name", type(self.inner).__name__),
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
-        self.entries.append(entry)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry.__dict__) + "\n")
         return response

@@ -1,9 +1,14 @@
 """Inner optimizers: a real-coded GA and differential evolution.
 
 These are the two algorithms whose performance gap defines benchmark
-fitness.  Both minimize over a box, evaluate whole populations through
-the batch kernels, and abort a trial the moment any objective
-evaluation is invalid (domain error, NaN, or infinity).
+fitness.  Both minimize over a box and share one trial loop,
+``_run_trial``: it draws a uniform initial population, then per
+generation asks the algorithm for a batch (its variation step), clips
+it to the box, evaluates it in one kernel call, and hands it to the
+algorithm's survivor rule.  The first batch holding an invalid point
+(domain error, NaN, or infinity) freezes the trial: it is reported
+invalid, the failing batch counts as evaluated, and the best-so-far
+trace stops at the last completed generation.
 
 GA: binary tournament selection, simulated binary crossover (SBX),
 per-variable polynomial mutation, (mu + lambda) survivor selection.
@@ -14,6 +19,7 @@ one-to-one replacement when the trial is no worse than its target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -196,30 +202,48 @@ def _distinct_indices(rng: np.random.Generator, n: int, exclude: int, count: int
 # ---------------------------------------------------------------- run loops
 
 
-def _as_program(objective: Expression | Program) -> Program:
-    if isinstance(objective, Expression):
-        return compile_program(objective)
-    return objective
+def _run_trial(
+    objective: Expression | Program,
+    space: SearchSpace,
+    config: GaConfig | DeConfig,
+    seed: int,
+    vary: Callable[..., np.ndarray],
+    survive: Callable[..., tuple[np.ndarray, np.ndarray]],
+) -> TrialOutcome:
+    """The loop both algorithms share: evaluate a batch, freeze or survive.
 
-
-class _InvalidEvaluation(Exception):
-    pass
-
-
-def _evaluate_batch(program: Program, X: np.ndarray, counter: list[int]) -> np.ndarray:
-    values, invalid = eval_program(program, X)
-    counter[0] += X.shape[0]
-    if invalid.any():
-        raise _InvalidEvaluation
-    return values
-
-
-def _invalid_outcome(dimension: int, evaluations: int, trace: list[float]) -> TrialOutcome:
+    Generation 0 evaluates a uniform population; each later generation
+    evaluates ``vary(pop, values, rng)`` clipped to the box.  Survivors
+    come from ``survive(pop, values, batch, batch_values)``.  The
+    initial batch meets a placeholder population of +inf values, which
+    every valid value beats.  The first batch with an invalid point
+    freezes the trial: that batch still counts in ``evaluations_used``,
+    and ``best_trace`` stops at the last completed generation.
+    """
+    program = compile_program(objective) if isinstance(objective, Expression) else objective
+    if program.dimension != space.dimension:
+        raise ValueError("objective dimension does not match the search space")
+    rng = np.random.default_rng(seed)
+    n, d = config.population, space.dimension
+    pop, values = np.empty((n, d)), np.full(n, np.inf)
+    trace: list[float] = []
+    for generation in range(config.generations + 1):
+        if generation == 0:
+            batch = rng.uniform(space.lower, space.upper, (n, d))
+        else:
+            batch = np.clip(vary(pop, values, rng), space.lower, space.upper)
+        batch_values, invalid = eval_program(program, batch)
+        valid = not invalid.any()
+        if not valid:
+            break
+        pop, values = survive(pop, values, batch, batch_values)
+        trace.append(float(values.min()))
+    best = int(np.argmin(values))
     return TrialOutcome(
-        best_value=float("nan"),
-        best_point=np.full(dimension, np.nan),
-        evaluations_used=evaluations,
-        valid=False,
+        best_value=float(values[best]) if valid else float("nan"),
+        best_point=pop[best].copy() if valid else np.full(d, np.nan),
+        evaluations_used=n * (generation + 1),
+        valid=valid,
         best_trace=tuple(trace),
     )
 
@@ -231,26 +255,10 @@ def run_ga(
     seed: int = 0,
 ) -> TrialOutcome:
     """One seeded GA trial; deterministic for identical inputs."""
-    program = _as_program(objective)
-    if program.dimension != space.dimension:
-        raise ValueError("objective dimension does not match the search space")
-    rng = np.random.default_rng(seed)
-    n, d = config.population, space.dimension
-    counter = [0]
-    trace: list[float] = []
+    n_pairs = (config.population + 1) // 2
 
-    pop = rng.uniform(space.lower, space.upper, (n, d))
-    try:
-        values = _evaluate_batch(program, pop, counter)
-    except _InvalidEvaluation:
-        return _invalid_outcome(d, counter[0], trace)
-    order = np.argsort(values, kind="stable")
-    pop, values = pop[order], values[order]
-    trace.append(float(values[0]))
-
-    n_pairs = (n + 1) // 2
-    for _ in range(config.generations):
-        children = np.empty((2 * n_pairs, d))
+    def vary(pop, values, rng):
+        children = np.empty((2 * n_pairs, space.dimension))
         for k in range(n_pairs):
             i1 = tournament_select(values, config.tournament_size, rng)
             i2 = tournament_select(values, config.tournament_size, rng)
@@ -264,24 +272,17 @@ def run_ga(
             children[2 * k + 1] = polynomial_mutation(
                 c2, config.eta_mutation, config.mutation_rate, space, rng
             )
-        children = np.clip(children[:n], space.lower, space.upper)
-        try:
-            child_values = _evaluate_batch(program, children, counter)
-        except _InvalidEvaluation:
-            return _invalid_outcome(d, counter[0], trace)
+        return children[: config.population]
+
+    def survive(pop, values, children, child_values):
+        # (mu + lambda) by a stable sort; it also orders the initial
+        # population best first, and the tournaments index into that order
         pooled = np.vstack([pop, children])
         pooled_values = np.concatenate([values, child_values])
-        keep = np.argsort(pooled_values, kind="stable")[:n]
-        pop, values = pooled[keep], pooled_values[keep]
-        trace.append(float(values[0]))
+        keep = np.argsort(pooled_values, kind="stable")[: config.population]
+        return pooled[keep], pooled_values[keep]
 
-    return TrialOutcome(
-        best_value=float(values[0]),
-        best_point=pop[0].copy(),
-        evaluations_used=counter[0],
-        valid=True,
-        best_trace=tuple(trace),
-    )
+    return _run_trial(objective, space, config, seed, vary, survive)
 
 
 def run_de(
@@ -291,42 +292,21 @@ def run_de(
     seed: int = 0,
 ) -> TrialOutcome:
     """One seeded DE trial; deterministic for identical inputs."""
-    program = _as_program(objective)
-    if program.dimension != space.dimension:
-        raise ValueError("objective dimension does not match the search space")
-    rng = np.random.default_rng(seed)
-    n, d = config.population, space.dimension
-    counter = [0]
-    trace: list[float] = []
+    n = config.population
 
-    pop = rng.uniform(space.lower, space.upper, (n, d))
-    try:
-        values = _evaluate_batch(program, pop, counter)
-    except _InvalidEvaluation:
-        return _invalid_outcome(d, counter[0], trace)
-    trace.append(float(values.min()))
-
-    for _ in range(config.generations):
+    def vary(pop, values, rng):
         trials = np.empty_like(pop)
         for i in range(n):
             r1, r2, r3 = _distinct_indices(rng, n, i, 3)
             mutant = de_combine(pop[r1], pop[r2], pop[r3], config.weight_f)
             trials[i] = binomial_crossover(pop[i], mutant, config.crossover_cr, rng)
-        trials = np.clip(trials, space.lower, space.upper)
-        try:
-            trial_values = _evaluate_batch(program, trials, counter)
-        except _InvalidEvaluation:
-            return _invalid_outcome(d, counter[0], trace)
+        return trials
+
+    def survive(pop, values, trials, trial_values):
+        # greedy one-to-one replacement when the trial is no worse
         better = trial_values <= values
         pop[better] = trials[better]
         values[better] = trial_values[better]
-        trace.append(float(values.min()))
+        return pop, values
 
-    best = int(np.argmin(values))
-    return TrialOutcome(
-        best_value=float(values[best]),
-        best_point=pop[best].copy(),
-        evaluations_used=counter[0],
-        valid=True,
-        best_trace=tuple(trace),
-    )
+    return _run_trial(objective, space, config, seed, vary, survive)

@@ -61,7 +61,8 @@ def main() -> None:
         config = engine_config_from(data, tmp)
         backend = RecordingBackend(ScriptedBackend(RESPONSES), transcript)
         record = run(config, backend)
-    print(f"recorded {len(backend.entries)} exchanges -> {transcript}")
+    exchanges = len(transcript.read_text(encoding="utf-8").splitlines())
+    print(f"recorded {exchanges} exchanges -> {transcript}")
     print(f"best: {record.best.text}  fitness {record.best.fitness:.6f}")
     print(json.dumps(record.best_per_generation))
 

@@ -384,6 +384,20 @@ def test_run_directory_with_unknown_config_key(smoke_run, capsys, command):
     assert "cannot load run" in err and "foo" in err
 
 
+@pytest.mark.parametrize("command", ["lineage", "analyze"])
+def test_run_directory_with_stale_snapshots(smoke_run, capsys, command):
+    # best.json of a run that stopped after generation 0, beside the
+    # snapshots of generations 1 and 2 from an earlier run
+    path = smoke_run / "best.json"
+    summary = json.loads(path.read_text())
+    path.write_text(json.dumps({**summary, "generations_completed": 1}))
+    capsys.readouterr()
+    code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot load run" in err and "3 population snapshots" in err
+
+
 def test_lineage_missing_run_directory(tmp_path, capsys):
     code = main(["lineage", "--run", str(tmp_path / "nope")])
     assert code == 1

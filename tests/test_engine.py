@@ -331,6 +331,27 @@ def test_run_aborts_when_failure_budget_spent(tmp_path):
     assert not (out / "population.gen1.jsonl").exists()
 
 
+def test_reused_run_directory_drops_stale_files(tmp_path):
+    out = tmp_path / "reused"
+    run(tiny_config(output_dir=str(out)), FormulaBackend())
+    (out / "transcript.jsonl").write_text("kept\n")
+    # the second run into the same directory aborts after generation 0
+    config = tiny_config(
+        output_dir=str(out),
+        retry=RetryPolicy(max_attempts_per_offspring=2, global_failure_cap=4),
+    )
+    with pytest.raises(EngineAbort):
+        run(config, FormulaBackend(supply=3))
+    assert sorted(p.name for p in out.iterdir()) == [
+        "best.json", "config.json", "lineage.jsonl", "population.gen0.jsonl", "transcript.jsonl"
+    ]
+    assert (out / "transcript.jsonl").read_text() == "kept\n"
+    record = load_run(out)
+    assert len(record.populations) == 1
+    assert len(record.best_per_generation) == 1
+    assert all(event.generation == 0 for event in record.lineage)
+
+
 def test_run_abort_during_init_leaves_config(tmp_path):
     out = tmp_path / "early"
     config = tiny_config(output_dir=str(out))

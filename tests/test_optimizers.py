@@ -196,12 +196,31 @@ def test_run_de_trace_monotone_and_deterministic():
 
 
 def test_run_de_invalid_objective_aborts():
-    outcome = run_de(parse("1/x[0]", 2), SearchSpace(2), DeConfig(population=10, generations=400), seed=2)
-    # division hits zero only if a sampled or constructed point does; with
-    # clipping at +-1 the trial vectors routinely land on the boundary,
-    # never exactly zero, so craft a certain failure instead
     outcome = run_de(parse("sqrt(x[1])", 2), SearchSpace(2), DeConfig(population=10, generations=5), seed=2)
     assert not outcome.valid and np.isnan(outcome.best_value)
+
+
+# ------------------------------------------------------ freeze accounting
+
+
+def test_frozen_trials_count_the_failing_batch():
+    # sqrt(x[0] + 0.99) is invalid only on the strip x[0] < -0.99, which
+    # the initial population mostly misses and later batches may reach
+    objective = parse("x[0] + sqrt(x[0] + 0.99)", 2)
+    runs = {
+        20: [run_ga(objective, SearchSpace(2), GaConfig(population=20, generations=30), seed=s)
+             for s in range(10)],
+        10: [run_de(objective, SearchSpace(2), DeConfig(population=10, generations=30), seed=s)
+             for s in range(10)],
+    }
+    for population, outcomes in runs.items():
+        assert any(not o.valid and len(o.best_trace) >= 1 for o in outcomes)
+        for o in outcomes:
+            # every completed generation plus, when frozen, the batch that failed
+            batches = len(o.best_trace) + (0 if o.valid else 1)
+            assert o.evaluations_used == population * batches
+            assert o.valid == np.isfinite(o.best_value)
+            assert o.valid == bool(np.all(np.isfinite(o.best_point)))
 
 
 # ------------------------------------------------------------- validation
