@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -40,6 +41,7 @@ from .llm import (
     RetryPolicy,
     TranscriptMissError,
     generate_offspring,
+    read_jsonl,
 )
 from .optimizers import DeConfig, GaConfig, SearchSpace
 
@@ -416,23 +418,39 @@ def snapshot_filename(generation: int) -> str:
     return f"population.gen{generation}.jsonl"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    # a failure before the rename leaves the previous file whole
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 class _Persister:
-    """Single writer for one run directory; a None directory disables IO."""
+    """Single writer for one run directory; a None directory disables IO.
+
+    Whole files (config, snapshots, summary) are replaced atomically;
+    the lineage file is appended to, one event per line.
+    """
 
     def __init__(self, out: Path | None):
         self.out = out
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
             # a reused directory keeps transcript.jsonl, which --replay
-            # may read, and loses everything an earlier run wrote
-            for stale in [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]:
-                stale.unlink(missing_ok=True)
+            # may read, and loses everything an earlier run wrote,
+            # half-written temporaries included
+            stale = [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]
+            for path in stale + list(out.glob("*.tmp")):
+                path.unlink(missing_ok=True)
 
     def config(self, config: EngineConfig) -> None:
         if self.out is None:
             return
         text = json.dumps(config_to_dict(config), indent=2)
-        (self.out / CONFIG_FILE).write_text(text + "\n", encoding="utf-8")
+        _write_atomic(self.out / CONFIG_FILE, text + "\n")
 
     def event(self, event: LineageEvent) -> None:
         if self.out is None:
@@ -444,13 +462,12 @@ class _Persister:
         if self.out is None:
             return
         lines = [json.dumps(benchmark_to_record(b)) for b in population]
-        path = self.out / snapshot_filename(generation)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(self.out / snapshot_filename(generation), "\n".join(lines) + "\n")
 
     def best(self, payload: dict) -> None:
         if self.out is None:
             return
-        (self.out / BEST_FILE).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_atomic(self.out / BEST_FILE, json.dumps(payload, indent=2) + "\n")
 
 
 def _best_of(population: list[Benchmark]) -> Benchmark:
@@ -517,25 +534,12 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
 # ------------------------------------------------------------------ loading
 
 
-def _read_jsonl(path: str | Path, what: str, decode: Callable[[dict], object]) -> list:
-    items = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(decode(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as err:
-                raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
-    return items
-
-
 def load_lineage(path: str | Path) -> list[LineageEvent]:
-    return _read_jsonl(path, "lineage", event_from_record)
+    return read_jsonl(path, "lineage", event_from_record)
 
 
 def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
-    return _read_jsonl(path, "benchmark", lambda record: benchmark_from_record(record, dimension))
+    return read_jsonl(path, "benchmark", lambda record: benchmark_from_record(record, dimension))
 
 
 def load_run(directory: str | Path) -> RunRecord:

@@ -210,24 +210,33 @@ class TranscriptEntry:
     timestamp: str
 
 
-def load_transcript(path: str | Path) -> list[TranscriptEntry]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+def read_jsonl(path: str | Path, what: str, decode: Callable[[dict], object]) -> list:
+    """Decode every non-blank line of a JSONL file; a line that is not
+    a JSON record ``decode`` accepts raises ValueError naming ``path:line``."""
+    items = []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
                 continue
-            raw = json.loads(line)
-            entries.append(
-                TranscriptEntry(
-                    digest=raw["digest"],
-                    prompt=raw["prompt"],
-                    response=raw["response"],
-                    backend=raw.get("backend", "unknown"),
-                    timestamp=raw.get("timestamp", ""),
-                )
-            )
-    return entries
+            try:
+                items.append(decode(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
+    return items
+
+
+def load_transcript(path: str | Path) -> list[TranscriptEntry]:
+    return read_jsonl(
+        path,
+        "transcript",
+        lambda raw: TranscriptEntry(
+            digest=raw["digest"],
+            prompt=raw["prompt"],
+            response=raw["response"],
+            backend=raw.get("backend", "unknown"),
+            timestamp=raw.get("timestamp", ""),
+        ),
+    )
 
 
 BACKEND_MODES = ("live", "replay", "record")
@@ -237,8 +246,8 @@ BACKEND_MODES = ("live", "replay", "record")
 class BackendConfig:
     """Where responses come from.
 
-    ``live`` calls the endpoint, ``record`` calls it and appends every
-    exchange to ``transcript.jsonl`` in the run directory, and
+    ``live`` calls the endpoint, ``record`` calls it and writes every
+    exchange to a fresh ``transcript.jsonl`` in the run directory, and
     ``replay`` serves the responses of a recorded ``transcript``.
     """
 
@@ -343,13 +352,19 @@ class ReplayBackend:
 
 
 class RecordingBackend:
-    """Wrap another backend and append every exchange to a transcript."""
+    """Wrap another backend and append every exchange to a transcript.
+
+    The transcript starts fresh when the backend is built: a file left
+    at ``path`` by an earlier run is deleted, since replay would serve
+    its responses first.
+    """
 
     name = "record"
 
     def __init__(self, inner: ChatBackend, path: str | Path):
         self.inner = inner
         self.path = Path(path)
+        self.path.unlink(missing_ok=True)
 
     def complete(self, prompt: str) -> str:
         response = self.inner.complete(prompt)

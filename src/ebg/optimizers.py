@@ -14,6 +14,11 @@ GA: binary tournament selection, simulated binary crossover (SBX),
 per-variable polynomial mutation, (mu + lambda) survivor selection.
 DE: rand/1 mutant, binomial crossover with a forced gene, greedy
 one-to-one replacement when the trial is no worse than its target.
+
+Variation works on the whole ``(n, d)`` population at once: the
+operators accept leading batch axes, so one generation is a few numpy
+calls with no Python loop over pairs or individuals.  Each trial still
+draws from its own ``Generator``; the trial axis is not batched.
 """
 
 from __future__ import annotations
@@ -126,11 +131,11 @@ def sbx_children(p1: np.ndarray, p2: np.ndarray, beta: np.ndarray) -> tuple[np.n
 def sbx_pair(
     p1: np.ndarray, p2: np.ndarray, eta: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene SBX: each gene crosses with probability 0.5, else it is
-    copied straight from the respective parent."""
-    d = p1.shape[0]
-    cross = rng.random(d) < 0.5
-    beta = sbx_spread(rng.random(d), eta)
+    """Per-gene SBX over matching rows of ``p1`` and ``p2``: each gene
+    crosses with probability 0.5, else it is copied straight from the
+    respective parent."""
+    cross = rng.random(p1.shape) < 0.5
+    beta = sbx_spread(rng.random(p1.shape), eta)
     a, b = sbx_children(p1, p2, beta)
     c1 = np.where(cross, a, p1)
     c2 = np.where(cross, b, p2)
@@ -157,18 +162,21 @@ def polynomial_mutation(
 ) -> np.ndarray:
     """Mutate each gene with probability ``rate``; negative offsets move
     toward the lower bound, positive ones toward the upper bound."""
-    d = x.shape[0]
-    mutate = rng.random(d) < rate
-    u = rng.random(d)
+    mutate = rng.random(x.shape) < rate
+    u = rng.random(x.shape)
     delta = pm_delta(u, eta)
     step = np.where(delta < 0.0, x - space.lower, space.upper - x)
     return np.where(mutate, x + delta * step, x)
 
 
-def tournament_select(values: np.ndarray, size: int, rng: np.random.Generator) -> int:
-    """Index of the best of ``size`` uniformly drawn contenders."""
-    contenders = rng.integers(0, values.shape[0], size)
-    return int(contenders[np.argmin(values[contenders])])
+def tournament_select(
+    values: np.ndarray, shape: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """Index of the best of ``shape[-1]`` uniformly drawn contenders, one
+    per leading position; a tie goes to the contender drawn first."""
+    contenders = rng.integers(0, values.shape[0], shape)
+    best = np.argmin(values[contenders], axis=-1)
+    return np.take_along_axis(contenders, best[..., None], axis=-1)[..., 0]
 
 
 # ------------------------------------------------------------ DE operators
@@ -182,21 +190,27 @@ def de_combine(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, weight_f: float) 
 def binomial_crossover(
     target: np.ndarray, mutant: np.ndarray, cr: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gene-wise mix; one forced position guarantees the trial differs
-    from its target in at least one gene even at cr == 0."""
-    d = target.shape[0]
-    take = rng.random(d) < cr
-    take[int(rng.integers(0, d))] = True
+    """Gene-wise mix per row; one forced position guarantees each trial
+    differs from its target in at least one gene even at cr == 0."""
+    d = target.shape[-1]
+    forced = rng.integers(0, d, target.shape[:-1])
+    take = (rng.random(target.shape) < cr) | (np.arange(d) == forced[..., None])
     return np.where(take, mutant, target)
 
 
-def _distinct_indices(rng: np.random.Generator, n: int, exclude: int, count: int) -> list[int]:
-    picked: list[int] = []
-    while len(picked) < count:
-        c = int(rng.integers(0, n))
-        if c != exclude and c not in picked:
-            picked.append(c)
-    return picked
+def rand1_indices(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``(3, n)`` donor indices r1, r2, r3 for every target i, all four
+    distinct.  Each is drawn among the indices still free and then
+    stepped past the taken ones in ascending order, which keeps the
+    ordered triples uniform."""
+    taken = np.arange(n)[:, None]
+    draws = rng.integers(0, [n - 1, n - 2, n - 3], (n, 3))
+    for k in range(3):
+        r = draws[:, k]
+        for excluded in np.sort(taken, axis=1).T:
+            r += r >= excluded
+        taken = np.column_stack([taken, r])
+    return taken[:, 1:].T
 
 
 # ---------------------------------------------------------------- run loops
@@ -258,21 +272,11 @@ def run_ga(
     n_pairs = (config.population + 1) // 2
 
     def vary(pop, values, rng):
-        children = np.empty((2 * n_pairs, space.dimension))
-        for k in range(n_pairs):
-            i1 = tournament_select(values, config.tournament_size, rng)
-            i2 = tournament_select(values, config.tournament_size, rng)
-            if rng.random() < config.crossover_rate:
-                c1, c2 = sbx_pair(pop[i1], pop[i2], config.eta_crossover, rng)
-            else:
-                c1, c2 = pop[i1].copy(), pop[i2].copy()
-            children[2 * k] = polynomial_mutation(
-                c1, config.eta_mutation, config.mutation_rate, space, rng
-            )
-            children[2 * k + 1] = polynomial_mutation(
-                c2, config.eta_mutation, config.mutation_rate, space, rng
-            )
-        return children[: config.population]
+        parents = pop[tournament_select(values, (2 * n_pairs, config.tournament_size), rng)]
+        c1, c2 = sbx_pair(parents[:n_pairs], parents[n_pairs:], config.eta_crossover, rng)
+        crossed = np.tile(rng.random((n_pairs, 1)) < config.crossover_rate, (2, 1))
+        children = np.where(crossed, np.vstack([c1, c2]), parents)[: config.population]
+        return polynomial_mutation(children, config.eta_mutation, config.mutation_rate, space, rng)
 
     def survive(pop, values, children, child_values):
         # (mu + lambda) by a stable sort; it also orders the initial
@@ -295,12 +299,9 @@ def run_de(
     n = config.population
 
     def vary(pop, values, rng):
-        trials = np.empty_like(pop)
-        for i in range(n):
-            r1, r2, r3 = _distinct_indices(rng, n, i, 3)
-            mutant = de_combine(pop[r1], pop[r2], pop[r3], config.weight_f)
-            trials[i] = binomial_crossover(pop[i], mutant, config.crossover_cr, rng)
-        return trials
+        r1, r2, r3 = rand1_indices(n, rng)
+        mutants = de_combine(pop[r1], pop[r2], pop[r3], config.weight_f)
+        return binomial_crossover(pop, mutants, config.crossover_cr, rng)
 
     def survive(pop, values, trials, trial_values):
         # greedy one-to-one replacement when the trial is no worse

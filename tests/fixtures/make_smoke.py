@@ -2,20 +2,25 @@
 
 Runs the engine against a fixed list of scripted responses and records
 every exchange, producing a transcript that replays the same small run
-deterministically.  Run from the repository root:
+deterministically.  It then replays the new transcript into a fresh
+directory and exits with status 1 unless every file of the replayed run
+except ``config.json`` is byte-equal to the recorded run's.  Run from
+the repository root:
 
     python3 tests/fixtures/make_smoke.py
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from ebg.cli import engine_config_from, load_config
 from ebg.engine import run
-from ebg.llm import RecordingBackend
+from ebg.llm import RecordingBackend, ReplayBackend
 
 FIXTURES = Path(__file__).parent
 
@@ -52,20 +57,35 @@ class ScriptedBackend:
         return response
 
 
-def main() -> None:
+def replay_differences(recorded: Path, replayed: Path) -> list[str]:
+    """Files of either run directory, ``config.json`` aside, that are
+    missing from the other or differ in content."""
+    names = {p.name for p in recorded.iterdir()} | {p.name for p in replayed.iterdir()}
+    _, mismatch, missing = filecmp.cmpfiles(
+        recorded, replayed, sorted(names - {"config.json"}), shallow=False
+    )
+    return mismatch + missing
+
+
+def main() -> int:
     transcript = FIXTURES / "smoke_transcript.jsonl"
-    if transcript.exists():
-        transcript.unlink()
     data = load_config(str(FIXTURES / "smoke_config.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        config = engine_config_from(data, tmp)
+        recorded, replayed = Path(tmp) / "recorded", Path(tmp) / "replayed"
         backend = RecordingBackend(ScriptedBackend(RESPONSES), transcript)
-        record = run(config, backend)
+        record = run(engine_config_from(data, str(recorded)), backend)
+        run(engine_config_from(data, str(replayed)), ReplayBackend.from_path(transcript))
+        differences = replay_differences(recorded, replayed)
     exchanges = len(transcript.read_text(encoding="utf-8").splitlines())
     print(f"recorded {exchanges} exchanges -> {transcript}")
     print(f"best: {record.best.text}  fitness {record.best.fitness:.6f}")
     print(json.dumps(record.best_per_generation))
+    if differences:
+        print(f"replay differs from the recorded run in: {', '.join(differences)}", file=sys.stderr)
+        return 1
+    print("replay reproduces the recorded run")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -197,6 +197,18 @@ def test_generate_missing_transcript_fails_before_creating_run_dir(tmp_path, cap
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("line", ["{not json", "[1, 2]", '{"digest": "d"}'])
+def test_generate_corrupt_transcript_names_file_and_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    out = tmp_path / "run"
+    code = main(["generate", "--out", str(out), "--replay", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:1: bad transcript record" in err
+    assert "Traceback" not in err and not out.exists()
+
 # ---------------------------------------------------------------- evaluate
 
 

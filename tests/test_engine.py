@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ebg.engine import (
 )
 from ebg.expressions import render
 from ebg.fitness import FitnessConfig
-from ebg.llm import ReplayBackend, RetryPolicy, TranscriptMissError
+from ebg.llm import RecordingBackend, ReplayBackend, RetryPolicy, TranscriptMissError
 from ebg.optimizers import DeConfig, GaConfig
 from helpers import FormulaBackend
 
@@ -350,6 +351,47 @@ def test_reused_run_directory_drops_stale_files(tmp_path):
     assert len(record.populations) == 1
     assert len(record.best_per_generation) == 1
     assert all(event.generation == 0 for event in record.lineage)
+
+
+def test_record_mode_starts_a_fresh_transcript(tmp_path):
+    class OtherFormulas(FormulaBackend):
+        def complete(self, prompt: str) -> str:
+            return super().complete(prompt) + " + abs(x[2])"
+
+    recorded, replayed = tmp_path / "recorded", tmp_path / "replayed"
+    transcript = recorded / "transcript.jsonl"
+    run(tiny_config(output_dir=str(recorded)), RecordingBackend(FormulaBackend(), transcript))
+    # a second record run into the same directory, with other responses
+    run(tiny_config(output_dir=str(recorded)), RecordingBackend(OtherFormulas(), transcript))
+    run(tiny_config(output_dir=str(replayed)), ReplayBackend.from_path(transcript))
+    names = sorted(p.name for p in replayed.iterdir())
+    assert names == sorted(p.name for p in recorded.iterdir() if p.name != "transcript.jsonl")
+    for name in names:
+        if name != "config.json":
+            assert filecmp.cmp(recorded / name, replayed / name, shallow=False), name
+    assert "abs(x[2])" in (replayed / "best.json").read_text()
+
+
+def test_failed_write_keeps_previous_best(tmp_path, monkeypatch):
+    out = tmp_path / "torn"
+    real_write = Path.write_text
+    best_writes = []
+
+    def torn_write(self, text, *args, **kwargs):
+        # the second summary write (after generation 1) dies half way
+        if self.name.startswith("best.json"):
+            best_writes.append(self.name)
+            if len(best_writes) == 2:
+                real_write(self, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        run(tiny_config(output_dir=str(out)), FormulaBackend())
+    summary = json.loads((out / "best.json").read_text())
+    assert summary["generations_completed"] == 1 and not summary["aborted"]
+    assert not list(out.glob("*.tmp"))
 
 
 def test_run_abort_during_init_leaves_config(tmp_path):

@@ -12,6 +12,7 @@ from ebg.optimizers import (
     de_combine,
     pm_delta,
     polynomial_mutation,
+    rand1_indices,
     run_de,
     run_ga,
     sbx_children,
@@ -119,11 +120,74 @@ def test_binomial_crossover_cr_one_takes_mutant():
 def test_tournament_select_prefers_lower_value():
     values = np.array([5.0, 1.0, 3.0])
     rng = np.random.default_rng(5)
-    picks = {tournament_select(values, 3, rng) for _ in range(50)}
+    picks = {int(tournament_select(values, (3,), rng)) for _ in range(50)}
     # drawing 3 contenders often includes index 1, which must then win
     assert 1 in picks
-    hits = [tournament_select(values, 30, np.random.default_rng(s)) for s in range(10)]
+    hits = [int(tournament_select(values, (30,), np.random.default_rng(s))) for s in range(10)]
     assert all(h == 1 for h in hits)
+
+
+# ------------------------------------------------- operators on (n, d) rows
+
+
+def test_sbx_pair_keeps_every_pair_mean_on_rows():
+    rng = np.random.default_rng(21)
+    p1, p2 = rng.uniform(-1, 1, (2, 400, 6))
+    c1, c2 = sbx_pair(p1, p2, 20.0, rng)
+    assert c1.shape == c2.shape == (400, 6)
+    assert np.max(np.abs((c1 + c2) - (p1 + p2))) <= 1e-9
+    # about half of the genes cross, the rest are copied from their parent
+    copied = (c1 == p1) & (c2 == p2)
+    assert 0.4 <= copied.mean() <= 0.6
+
+
+def test_pm_on_rows_identity_at_rate_zero_and_box_at_rate_one():
+    rng = np.random.default_rng(22)
+    space = SearchSpace(dimension=6)
+    x = rng.uniform(-1, 1, (300, 6))
+    assert np.array_equal(polynomial_mutation(x, 20.0, 0.0, space, rng), x)
+    y = polynomial_mutation(x, 20.0, 1.0, space, rng)
+    assert y.shape == x.shape
+    assert np.all(y >= space.lower) and np.all(y <= space.upper)
+    assert np.all(y != x)
+
+
+def test_binomial_crossover_on_rows_cr_zero_changes_one_gene_per_row():
+    rng = np.random.default_rng(23)
+    target, mutant = np.zeros((500, 7)), np.ones((500, 7))
+    trial = binomial_crossover(target, mutant, 0.0, rng)
+    assert np.all((trial != target).sum(axis=1) == 1)
+    # the forced gene is spread over every position
+    assert set(np.argmax(trial, axis=1)) == set(range(7))
+
+
+def test_tournament_select_on_rows_takes_first_best_contender():
+    values = np.array([4.0, 0.0, 2.0, 0.0, 3.0])
+    picks = tournament_select(values, (1000, 2), np.random.default_rng(24))
+    contenders = np.random.default_rng(24).integers(0, 5, (1000, 2))
+    assert picks.shape == (1000,)
+    assert np.all(values[picks] == values[contenders].min(axis=1))
+    # between the two zero-valued indices a tie goes to the one drawn first
+    tied = (values[contenders] == 0.0).all(axis=1) & (contenders[:, 0] != contenders[:, 1])
+    assert tied.any() and np.array_equal(picks[tied], contenders[tied, 0])
+
+
+def test_rand1_indices_distinct_and_uniform():
+    n, calls = 5, 6000
+    rng = np.random.default_rng(25)
+    draws = np.stack([rand1_indices(n, rng) for _ in range(calls)])  # (calls, 3, n)
+    targets = np.broadcast_to(np.arange(n), (calls, n))
+    r1, r2, r3 = draws[:, 0], draws[:, 1], draws[:, 2]
+    for a, b in [(targets, r1), (targets, r2), (targets, r3), (r1, r2), (r1, r3), (r2, r3)]:
+        assert not np.any(a == b)
+    assert draws.min() >= 0 and draws.max() < n
+    # each target has (n-1)(n-2)(n-3) = 24 ordered triples, each expected
+    # 6000/24 = 250 times with standard deviation ~15.5; allow 4 of them
+    codes = ((targets * n + r1) * n + r2) * n + r3
+    counts = np.bincount(codes.ravel(), minlength=n**4)
+    seen = counts[counts > 0]
+    assert seen.size == n * 24
+    assert np.all(np.abs(seen - 250) <= 62)
 
 
 # ------------------------------------------------------------------ run_ga
@@ -155,6 +219,16 @@ def test_run_ga_deterministic():
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_point, b.best_point)
     assert a.best_trace == b.best_trace
+
+
+def test_run_ga_without_variation_only_copies_parents():
+    # crossover_rate 0 copies both tournament winners of a pair, and with
+    # no mutation no child can beat the best initial member
+    frozen = GaConfig(population=11, generations=15, crossover_rate=0.0, mutation_rate=0.0)
+    outcome = run_ga(SPHERE, SPACE5, frozen, seed=4)
+    assert len(set(outcome.best_trace)) == 1
+    crossing = GaConfig(population=11, generations=15, crossover_rate=1.0, mutation_rate=0.0)
+    assert run_ga(SPHERE, SPACE5, crossing, seed=4).best_value < outcome.best_value
 
 
 def test_run_ga_constant_objective():
