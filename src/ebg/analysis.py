@@ -3,13 +3,14 @@
 Three families of tools live here.  Global sensitivity: Sobol' first
 and total order indices from a Saltelli sampling scheme.  Local
 curvature: finite-difference gradient and Hessian summaries over a
-Latin hypercube.  Lineage: Levenshtein distances between expression
+Latin hypercube, with the stencils of all sample points evaluated in
+one kernel call.  Lineage: Levenshtein distances between expression
 strings, a classical MDS embedding of those distances, operator usage
 counts along an individual's ancestry, and plot-ready fitness and
 convergence tables for a finished run.
 
-Everything is deterministic given a seed and returns plain data; no
-figures are rendered.
+Everything is numpy, deterministic given a seed, and returns plain
+data; no figures are rendered.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .config import raise_problems
 from .engine import Benchmark, LineageEvent, RunRecord
@@ -142,58 +142,26 @@ class CurvatureFeatures:
     fd_step_hessian: float
 
 
-def _stencil(x: np.ndarray, h_grad: float, h_hess: float) -> np.ndarray:
-    """All evaluation points needed for one gradient plus Hessian."""
-    d = x.size
-    rows = [x]
-    for i in range(d):
-        for h in (h_grad, h_hess):
-            for sign in (1.0, -1.0):
-                p = x.copy()
-                p[i] += sign * h
-                rows.append(p)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    p = x.copy()
-                    p[i] += si * h_hess
-                    p[j] += sj * h_hess
-                    rows.append(p)
-    return np.asarray(rows)
+def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """n points in [0, 1)^d with exactly one in each stratum [k/n, (k+1)/n) per axis."""
+    rng = np.random.default_rng(seed)
+    strata = rng.permuted(np.repeat(np.arange(n)[:, None], d, axis=1), axis=0)
+    return (strata + rng.random((n, d))) / n
 
 
-def _point_features(
-    program, x: np.ndarray, h_grad: float, h_hess: float
-) -> tuple[float, float] | None:
-    """(gradient ratio, Hessian condition) at x, or None to skip the point."""
-    d = x.size
-    points = _stencil(x, h_grad, h_hess)
-    values, invalid = eval_program(program, points)
-    if invalid.any():
-        return None
-    f0 = values[0]
-    grad = np.empty(d)
-    diag = np.empty(d)
-    k = 1
-    for i in range(d):
-        gp, gm, hp, hm = values[k], values[k + 1], values[k + 2], values[k + 3]
-        grad[i] = (gp - gm) / (2.0 * h_grad)
-        diag[i] = (hp - 2.0 * f0 + hm) / h_hess**2
-        k += 4
-    hess = np.diag(diag)
-    for i in range(d):
-        for j in range(i + 1, d):
-            fpp, fpm, fmp, fmm = values[k], values[k + 1], values[k + 2], values[k + 3]
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h_hess**2)
-            k += 4
-    hess = 0.5 * (hess + hess.T)
-    eigenvalues = np.linalg.eigvalsh(hess)
-    grad_mag = np.abs(grad)
-    eig_mag = np.abs(eigenvalues)
-    if grad_mag.min() < DEGENERATE_MAGNITUDE or eig_mag.min() < DEGENERATE_MAGNITUDE:
-        return None
-    return float(grad_mag.max() / grad_mag.min()), float(eig_mag.max() / eig_mag.min())
+def _stencil_offsets(d: int, h_grad: float, h_hess: float) -> np.ndarray:
+    """Offsets of one gradient-plus-Hessian stencil, shape (1 + 4d + 2d(d-1), d).
+
+    Rows: the centre; per axis i, +h_grad, -h_grad, +h_hess, -h_hess
+    along i; per pair i < j, h_hess steps with signs (+,+), (+,-),
+    (-,+), (-,-) on (i, j).
+    """
+    axial = np.eye(d)[:, None, :] * np.array([h_grad, -h_grad, h_hess, -h_hess])[:, None]
+    i, j = np.triu_indices(d, 1)
+    pairs = np.zeros((i.size, 4, d))
+    pairs[np.arange(i.size), :, i] = h_hess * np.array([1.0, 1.0, -1.0, -1.0])
+    pairs[np.arange(i.size), :, j] = h_hess * np.array([1.0, -1.0, 1.0, -1.0])
+    return np.concatenate([np.zeros((1, d)), axial.reshape(-1, d), pairs.reshape(-1, d)])
 
 
 def curvature_features(
@@ -206,12 +174,14 @@ def curvature_features(
 ) -> CurvatureFeatures:
     """Median gradient anisotropy and lower-quartile Hessian condition.
 
-    Sample points come from a Latin hypercube over the box.  At each
-    point the gradient and Hessian are estimated by central
-    differences; the gradient feature is max|g_i| / min|g_i| and the
-    Hessian feature is max|lambda| / min|lambda| of the symmetrized
-    estimate.  Points with a magnitude below 1e-12 in either minimum,
-    or with any invalid stencil evaluation, are skipped and counted.
+    Sample points come from a Latin hypercube over the box, drawn from
+    ``default_rng(seed)``.  At each point the gradient and Hessian are
+    estimated by central differences; the gradient feature is
+    max|g_i| / min|g_i| and the Hessian feature is max|lambda| /
+    min|lambda| of the symmetric Hessian estimate.  The stencils of all
+    points are evaluated in one kernel call.  Points with a magnitude
+    below 1e-12 in either minimum, or with any invalid stencil
+    evaluation, are skipped and counted.
     """
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
@@ -220,28 +190,39 @@ def curvature_features(
         fd_step_gradient=fd_step_gradient,
         fd_step_hessian=fd_step_hessian,
     )
-    sampler = qmc.LatinHypercube(d=space.dimension, seed=seed)
-    unit = sampler.random(sample_points)
-    X = qmc.scale(unit, space.lower, space.upper)
-    program = compile_program(expr)
-    ratios: list[float] = []
-    conditions: list[float] = []
-    skipped = 0
-    for x in X:
-        features = _point_features(program, x, fd_step_gradient, fd_step_hessian)
-        if features is None:
-            skipped += 1
-            continue
-        ratios.append(features[0])
-        conditions.append(features[1])
-    if len(ratios) < 4:
+    d = space.dimension
+    unit = _latin_hypercube(sample_points, d, seed)
+    X = space.lower + unit * (space.upper - space.lower)
+    offsets = _stencil_offsets(d, fd_step_gradient, fd_step_hessian)
+    stencils = (X[:, None, :] + offsets).reshape(-1, d)
+    values, invalid = eval_program(compile_program(expr), stencils)
+    values = values.reshape(sample_points, -1)[~invalid.reshape(sample_points, -1).any(axis=1)]
+    k = values.shape[0]
+    f0 = values[:, :1]
+    gp, gm, hp, hm = values[:, 1 : 1 + 4 * d].reshape(k, d, 4).transpose(2, 0, 1)
+    i, j = np.triu_indices(d, 1)
+    fpp, fpm, fmp, fmm = values[:, 1 + 4 * d :].reshape(k, i.size, 4).transpose(2, 0, 1)
+    grad = (gp - gm) / (2.0 * fd_step_gradient)
+    hess = np.zeros((k, d, d))
+    hess[:, np.arange(d), np.arange(d)] = (hp - 2.0 * f0 + hm) / fd_step_hessian**2
+    hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * fd_step_hessian**2)
+    grad_mag = np.abs(grad)
+    eig_mag = np.abs(np.linalg.eigvalsh(hess))
+    grad_min = grad_mag.min(axis=1)
+    eig_min = eig_mag.min(axis=1)
+    # a skip test, so the NaN eigenvalues of an overflowed Hessian are kept
+    usable = ~((grad_min < DEGENERATE_MAGNITUDE) | (eig_min < DEGENERATE_MAGNITUDE))
+    ratios = grad_mag.max(axis=1)[usable] / grad_min[usable]
+    conditions = eig_mag.max(axis=1)[usable] / eig_min[usable]
+    skipped = sample_points - ratios.size
+    if ratios.size < 4:
         raise ValueError(
-            f"only {len(ratios)} usable sample points ({skipped} skipped); need at least 4"
+            f"only {ratios.size} usable sample points ({skipped} skipped); need at least 4"
         )
     return CurvatureFeatures(
         grad_ratio_median=float(np.median(ratios)),
         hessian_cond_lower_quartile=float(np.percentile(conditions, 25)),
-        sample_count=len(ratios),
+        sample_count=ratios.size,
         skipped_count=skipped,
         fd_step_gradient=fd_step_gradient,
         fd_step_hessian=fd_step_hessian,

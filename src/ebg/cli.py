@@ -8,8 +8,8 @@ default and every range check; ``--print-default-config`` emits their
 defaults, and a key they do not know, at any level, is an error.
 
 Exit codes: 0 success, 1 for validation problems (every violated field
-is listed), 2 for runtime aborts such as replay misses, exhausted retry
-budgets, or invalid analysis samples.
+is listed), 2 for runtime aborts such as replay misses, a failed chat
+endpoint, exhausted retry budgets, or invalid analysis samples.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .llm import (
     RecordingBackend,
     ReplayBackend,
     TranscriptMissError,
+    TransportError,
 )
 from .optimizers import SearchSpace
 
@@ -190,7 +191,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         record = run(config, backend)
-    except (EngineAbort, TranscriptMissError) as err:
+    except (EngineAbort, TranscriptMissError, TransportError) as err:
         print(f"run aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"best expression: {record.best.text}")

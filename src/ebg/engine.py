@@ -40,6 +40,7 @@ from .llm import (
     PromptSpec,
     RetryPolicy,
     TranscriptMissError,
+    TransportError,
     generate_offspring,
     read_jsonl,
 )
@@ -494,8 +495,10 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     """Full run: initialization plus max_generations - 1 generation steps.
 
     Artifacts are persisted as soon as they exist, so an abort from a
-    backend failure or an exhausted retry budget leaves every completed
-    generation on disk with ``aborted`` set in the summary file.
+    replay miss, a transport failure or an exhausted retry budget leaves
+    every completed generation on disk with ``aborted`` set in the
+    summary file.  The summary is written after the generation's
+    snapshot and commits it.
     """
     out = Path(config.output_dir) if config.output_dir else None
     persister = _Persister(out)
@@ -514,7 +517,7 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
             trace.append(_best_of(population).fitness)
             persister.snapshot(generation, population)
             persister.best(_best_payload(populations, trace, state, aborted=False))
-    except (TranscriptMissError, EngineAbort):
+    except (TranscriptMissError, TransportError, EngineAbort):
         if populations:
             persister.best(_best_payload(populations, trace, state, aborted=True))
         raise
@@ -543,24 +546,24 @@ def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
 
 
 def load_run(directory: str | Path) -> RunRecord:
-    """Rehydrate a persisted run directory into a RunRecord."""
+    """Rehydrate a persisted run directory into a RunRecord.
+
+    The summary file is the commit point: exactly the snapshots of the
+    generations it reports are read, and a missing one is an error.  A
+    higher-numbered snapshot, whose summary write never landed, is not
+    part of the run and is ignored.
+    """
     out = Path(directory)
     config = config_from_dict(json.loads((out / CONFIG_FILE).read_text(encoding="utf-8")))
-    populations = []
-    for generation in range(config.max_generations):
-        path = out / snapshot_filename(generation)
-        if not path.exists():
-            break
-        populations.append(load_population(path, config.dimension))
-    if not populations:
-        raise FileNotFoundError(f"no population snapshots in {out}")
-    lineage = load_lineage(out / LINEAGE_FILE)
     summary = json.loads((out / BEST_FILE).read_text(encoding="utf-8"))
-    if len(populations) != summary["generations_completed"]:
-        raise ValueError(
-            f"{out} holds {len(populations)} population snapshots, but {BEST_FILE} "
-            f"reports {summary['generations_completed']} completed generations"
-        )
+    completed = summary["generations_completed"]
+    if not isinstance(completed, int) or completed < 1:
+        raise ValueError(f"{out / BEST_FILE} reports {completed!r} completed generations")
+    populations = [
+        load_population(out / snapshot_filename(generation), config.dimension)
+        for generation in range(completed)
+    ]
+    lineage = load_lineage(out / LINEAGE_FILE)
     best = benchmark_from_record(summary["best"], config.dimension)
     return RunRecord(
         config=config,

@@ -322,8 +322,3 @@ def eval_program(program: Program, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if HAS_NUMBA:
         return eval_program_numba(program, X)
     return eval_program_numpy(program, X)
-
-
-def eval_expression(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience: compile and evaluate in a single call."""
-    return eval_program(compile_program(expr), X)

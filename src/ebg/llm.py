@@ -423,20 +423,17 @@ def generate_offspring(
 ) -> OffspringResult:
     """Prompt, sanitize, validate; retry up to the per-offspring budget.
 
-    Transport errors and rejected or invalid responses consume attempts;
-    replay misses propagate immediately since retrying cannot repair a
-    missing transcript.  An offspring whose rendered text equals one of
-    the prompt examples is accepted but flagged identical, so operator
-    statistics can discount it.
+    Rejected or invalid responses consume attempts.  Transport errors
+    and replay misses propagate: the backend has already retried its
+    transport, and retrying cannot repair a missing transcript.  An
+    offspring whose rendered text equals one of the prompt examples is
+    accepted but flagged identical, so operator statistics can discount
+    it.
     """
     prompt = build_prompt(spec)
     last_cause = "no attempt"
     for attempt in range(1, policy.max_attempts_per_offspring + 1):
-        try:
-            response = backend.complete(prompt)
-        except TransportError as err:
-            last_cause = f"transport: {err}"
-            continue
+        response = backend.complete(prompt)
         result = sanitize_response(response, spec.dimension, whitelist)
         if isinstance(result, Rejection):
             last_cause = f"{result.cause}: {result.detail}" if result.detail else result.cause

@@ -151,6 +151,17 @@ def test_curvature_features_are_ratios_of_magnitudes():
     assert features.hessian_cond_lower_quartile == pytest.approx(3.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("n, d, seed", [(4, 1, 0), (10, 3, 1), (100, 5, 2), (37, 8, 9)])
+def test_curvature_sample_is_latin_hypercube(n, d, seed):
+    unit = analysis._latin_hypercube(n, d, seed)
+    assert unit.shape == (n, d)
+    assert ((unit >= 0.0) & (unit < 1.0)).all()
+    strata = np.floor(n * unit).astype(int)
+    for axis in range(d):
+        assert sorted(strata[:, axis]) == list(range(n))
+    assert np.array_equal(unit, analysis._latin_hypercube(n, d, seed))
+
+
 def test_curvature_validates_sample_points():
     with pytest.raises(ValueError):
         curvature_features(parse("x[0]**2", 1), sample_points=3)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from ebg import cli
 from ebg.cli import default_config, load_config, main, validate_config
 from ebg.engine import load_lineage, load_run
+from ebg.llm import TransportError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_CONFIG = str(FIXTURES / "smoke_config.json")
@@ -63,6 +65,13 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["population_size"] == 10
+
+
+def test_import_cli_leaves_scipy_out():
+    probe = "import sys, ebg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_validate_config_lists_every_violated_field():
@@ -187,6 +196,23 @@ def test_generate_replay_miss_is_runtime_abort(tmp_path, capsys):
     )
     assert code == 2
     assert "run aborted" in capsys.readouterr().err
+
+
+def test_generate_transport_failure_is_runtime_abort(tmp_path, capsys, monkeypatch):
+    class DeadEndpoint:
+        name = "dead"
+
+        def complete(self, prompt: str) -> str:
+            raise TransportError("chat endpoint failed after 3 attempts: refused")
+
+    monkeypatch.setattr(cli, "build_backend", lambda config, out_dir: DeadEndpoint())
+    out = tmp_path / "run"
+    code = main(
+        ["generate", "--config", SMOKE_CONFIG, "--out", str(out), "--replay", SMOKE_TRANSCRIPT]
+    )
+    assert code == 2
+    assert "run aborted: chat endpoint failed" in capsys.readouterr().err
+    assert not (out / "best.json").exists()
 
 
 def test_generate_missing_transcript_fails_before_creating_run_dir(tmp_path, capsys):
@@ -397,17 +423,31 @@ def test_run_directory_with_unknown_config_key(smoke_run, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["lineage", "analyze"])
-def test_run_directory_with_stale_snapshots(smoke_run, capsys, command):
+def test_run_directory_with_stale_snapshots(smoke_run, command):
     # best.json of a run that stopped after generation 0, beside the
-    # snapshots of generations 1 and 2 from an earlier run
+    # snapshots of generations 1 and 2 that it never committed
     path = smoke_run / "best.json"
     summary = json.loads(path.read_text())
     path.write_text(json.dumps({**summary, "generations_completed": 1}))
+    assert len(load_run(smoke_run).populations) == 1
+    code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "completed, cause",
+    [(4, "population.gen3.jsonl"), (0, "0 completed"), ("2", "'2' completed")],
+)
+@pytest.mark.parametrize("command", ["lineage", "analyze"])
+def test_run_directory_missing_committed_snapshot(smoke_run, capsys, command, completed, cause):
+    path = smoke_run / "best.json"
+    summary = json.loads(path.read_text())
+    path.write_text(json.dumps({**summary, "generations_completed": completed}))
     capsys.readouterr()
     code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "cannot load run" in err and "3 population snapshots" in err
+    assert "cannot load run" in err and cause in err
 
 
 def test_lineage_missing_run_directory(tmp_path, capsys):

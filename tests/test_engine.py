@@ -25,7 +25,13 @@ from ebg.engine import (
 )
 from ebg.expressions import render
 from ebg.fitness import FitnessConfig
-from ebg.llm import RecordingBackend, ReplayBackend, RetryPolicy, TranscriptMissError
+from ebg.llm import (
+    RecordingBackend,
+    ReplayBackend,
+    RetryPolicy,
+    TranscriptMissError,
+    TransportError,
+)
 from ebg.optimizers import DeConfig, GaConfig
 from helpers import FormulaBackend
 
@@ -332,6 +338,25 @@ def test_run_aborts_when_failure_budget_spent(tmp_path):
     assert not (out / "population.gen1.jsonl").exists()
 
 
+def test_run_aborts_on_transport_failure(tmp_path):
+    class DeadAfterInit(FormulaBackend):
+        def complete(self, prompt: str) -> str:
+            if self.calls == 3:  # the three init members are made
+                self.calls += 1
+                raise TransportError("chat endpoint failed after 3 attempts: timed out")
+            return super().complete(prompt)
+
+    out = tmp_path / "dead"
+    backend = DeadAfterInit()
+    with pytest.raises(TransportError):
+        run(tiny_config(output_dir=str(out)), backend)
+    assert backend.calls == 4
+    summary = json.loads((out / "best.json").read_text())
+    assert summary["aborted"] is True
+    assert summary["generations_completed"] == 1
+    assert len(load_run(out).populations) == 1
+
+
 def test_reused_run_directory_drops_stale_files(tmp_path):
     out = tmp_path / "reused"
     run(tiny_config(output_dir=str(out)), FormulaBackend())
@@ -392,6 +417,9 @@ def test_failed_write_keeps_previous_best(tmp_path, monkeypatch):
     summary = json.loads((out / "best.json").read_text())
     assert summary["generations_completed"] == 1 and not summary["aborted"]
     assert not list(out.glob("*.tmp"))
+    # generation 1's snapshot landed, but best.json never committed it
+    assert (out / "population.gen1.jsonl").exists()
+    assert len(load_run(out).populations) == 1
 
 
 def test_run_abort_during_init_leaves_config(tmp_path):
