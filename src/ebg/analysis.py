@@ -180,8 +180,9 @@ def curvature_features(
     max|g_i| / min|g_i| and the Hessian feature is max|lambda| /
     min|lambda| of the symmetric Hessian estimate.  The stencils of all
     points are evaluated in one kernel call.  Points with a magnitude
-    below 1e-12 in either minimum, or with any invalid stencil
-    evaluation, are skipped and counted.
+    below 1e-12 in either minimum, with any invalid stencil evaluation,
+    or with a gradient or Hessian estimate that overflowed, are skipped
+    and counted.
     """
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
@@ -202,16 +203,18 @@ def curvature_features(
     gp, gm, hp, hm = values[:, 1 : 1 + 4 * d].reshape(k, d, 4).transpose(2, 0, 1)
     i, j = np.triu_indices(d, 1)
     fpp, fpm, fmp, fmm = values[:, 1 + 4 * d :].reshape(k, i.size, 4).transpose(2, 0, 1)
-    grad = (gp - gm) / (2.0 * fd_step_gradient)
-    hess = np.zeros((k, d, d))
-    hess[:, np.arange(d), np.arange(d)] = (hp - 2.0 * f0 + hm) / fd_step_hessian**2
-    hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * fd_step_hessian**2)
-    grad_mag = np.abs(grad)
-    eig_mag = np.abs(np.linalg.eigvalsh(hess))
+    # finite stencil values can still overflow in the differences
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = (gp - gm) / (2.0 * fd_step_gradient)
+        hess = np.zeros((k, d, d))
+        hess[:, np.arange(d), np.arange(d)] = (hp - 2.0 * f0 + hm) / fd_step_hessian**2
+        hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * fd_step_hessian**2)
+    finite = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
+    grad_mag = np.abs(grad[finite])
+    eig_mag = np.abs(np.linalg.eigvalsh(hess[finite]))
     grad_min = grad_mag.min(axis=1)
     eig_min = eig_mag.min(axis=1)
-    # a skip test, so the NaN eigenvalues of an overflowed Hessian are kept
-    usable = ~((grad_min < DEGENERATE_MAGNITUDE) | (eig_min < DEGENERATE_MAGNITUDE))
+    usable = (grad_min >= DEGENERATE_MAGNITUDE) & (eig_min >= DEGENERATE_MAGNITUDE)
     ratios = grad_mag.max(axis=1)[usable] / grad_min[usable]
     conditions = eig_mag.max(axis=1)[usable] / eig_min[usable]
     skipped = sample_points - ratios.size

@@ -23,8 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
 from .config import raise_problems
 from .expressions import (
     DEFAULT_WHITELIST,
@@ -296,6 +294,8 @@ class LiveBackend:
     name = "live"
 
     def complete(self, prompt: str) -> str:
+        import requests  # costs a third of `import ebg.cli`, and only live calls need it
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -1,11 +1,15 @@
-"""Shared test utilities: native oracles and random tree generation."""
+"""Shared test utilities: native oracles, random tree generation and the
+environment of child interpreters."""
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import ebg
 from ebg.expressions import (
     Binary,
     Constant,
@@ -125,3 +129,14 @@ def random_tree(rng: np.random.Generator, dimension: int, depth: int) -> Node:
 
 def random_expression(rng: np.random.Generator, dimension: int, depth: int) -> Expression:
     return Expression(random_tree(rng, dimension, depth), dimension)
+
+
+# ------------------------------------------------------- child interpreters
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports the same ``ebg``
+    as this one, whether it comes from an install or from ``src/``."""
+    source = str(Path(ebg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import filecmp
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from ebg import cli
 from ebg.cli import default_config, load_config, main, validate_config
 from ebg.engine import load_lineage, load_run
 from ebg.llm import TransportError
+from helpers import child_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_CONFIG = str(FIXTURES / "smoke_config.json")
@@ -62,6 +65,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "ebg.cli", "--print-default-config"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["population_size"] == 10
@@ -69,9 +73,21 @@ def test_module_entry_point_runs():
 
 def test_import_cli_leaves_scipy_out():
     probe = "import sys, ebg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_import_cli_leaves_requests_out():
+    # only a live chat call imports it
+    probe = "import sys, ebg.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_validate_config_lists_every_violated_field():
@@ -319,6 +335,38 @@ def test_analyze_sobol_abort_on_invalid_sample(tmp_path, capsys):
     )
     assert code == 2
     assert "sqrt-of-negative" in capsys.readouterr().err
+
+
+def test_analyze_curvature_skips_overflowed_estimates(tmp_path, capsys):
+    # every stencil value is finite, but at points with a large sum of
+    # squares 2*f0 in the second difference overflows
+    text = "5e307*(x[0]**2 + x[1]**2 + x[2]**2 + x[3]**2 + x[4]**2)"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--expr", text, "--what", "curvature", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert caught == []
+    curvature = json.loads((tmp_path / "curvature.json").read_text())
+    assert math.isfinite(curvature["grad_ratio_median"])
+    assert math.isfinite(curvature["hessian_cond_lower_quartile"])
+    assert curvature["skipped_count"] > 0
+    assert curvature["sample_count"] + curvature["skipped_count"] == 100
+
+
+def test_analyze_curvature_of_an_absorbing_term_aborts_cleanly(tmp_path, capsys):
+    # the 1.7e308 term absorbs x[1]..x[4], so a gradient entry is exactly
+    # 0 at every point and every point is skipped as degenerate; the
+    # overflowing differences at |x[0]| near 1 stay quiet
+    text = "1.7e308*abs(x[0])**8 + x[1]**2 + x[2]**2 + x[3]*x[4]"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--expr", text, "--what", "curvature", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "analysis aborted: only 0 usable sample points (100 skipped); need at least 4\n"
+    )
+    assert caught == []
 
 
 def test_analyze_run_directory_targets_best(tmp_path, capsys):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 
@@ -8,8 +7,17 @@ import numpy as np
 import pytest
 
 from ebg import kernels
-from ebg.expressions import evaluate, node_count, parse
-from helpers import random_expression
+from ebg.expressions import (
+    Binary,
+    Constant,
+    Expression,
+    Unary,
+    Variable,
+    evaluate,
+    node_count,
+    parse,
+)
+from helpers import child_env, random_expression
 
 CASES = [
     "x[0]/x[1]",
@@ -20,6 +28,10 @@ CASES = [
     "sinh(x[0]*900)",
     "tan(x[0])/(x[1] - x[1])",
     "cos(x[0])*cosh(x[1]) + tanh(x[2])",
+]
+
+SPECIAL_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, -2.5, -1.0, -0.3
 ]
 
 
@@ -60,16 +72,21 @@ def test_kernels_match_reference_semantics(path):
 @pytest.mark.parametrize("path", PATHS)
 def test_kernels_match_reference_on_random_trees(path):
     rng = np.random.default_rng(99)
-    for _ in range(60):
+    for k in range(60):
         expr = random_expression(rng, 4, int(rng.integers(1, 6)))
         prog = kernels.compile_program(expr)
-        X = rng.uniform(-1, 1, (16, 4))
+        # 16 uniform points, then the special values on one axis
+        specials = np.full((len(SPECIAL_VALUES), 4), 0.5)
+        specials[:, k % 4] = SPECIAL_VALUES
+        X = np.vstack([rng.uniform(-1, 1, (16, 4)), specials])
         values, invalid = path(prog, X)
-        for i in range(16):
+        for i in range(X.shape[0]):
             ref = evaluate(expr, X[i])
-            assert bool(invalid[i]) == (not ref.ok)
+            assert bool(invalid[i]) == (not ref.ok), (expr, X[i])
             if ref.ok:
                 assert abs(values[i] - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
+            else:
+                assert np.isnan(values[i])
 
 
 # a non-finite subterm that a later operation maps back to a finite value
@@ -118,6 +135,81 @@ def test_numba_and_numpy_paths_agree():
         assert np.all(np.abs(vj[ok] - vn[ok]) <= 1e-12 * scale), text
 
 
+# ------------------------------------------------ constant-exponent powers
+
+# the last two lie within INTEGER_POWER_TOLERANCE of an integer without
+# being one, so they keep the general rule
+POWER_EXPONENTS = [0.0, 1.0, -1.0, 2.0, 3.0, -2.0, 0.5, 1.5, 2 + 5e-10, -3 + 5e-10]
+GENERAL_EXPONENTS = {2 + 5e-10, -3 + 5e-10}
+
+
+def _literal(value: float):
+    return Constant(value) if value >= 0.0 else Unary("neg", Constant(-value))
+
+
+def _general_power(a, b):
+    """What the program computes when every power takes ``_power``."""
+    invalid = np.zeros(np.broadcast(a, b).shape, dtype=np.bool_)
+    with np.errstate(all="ignore"):
+        values = kernels._power(a, b, invalid)
+    invalid |= ~np.isfinite(values)
+    return np.where(invalid, np.nan, values), invalid
+
+
+def _assert_same_bits(got, want):
+    (values, invalid), (ref_values, ref_invalid) = got, want
+    assert np.array_equal(invalid, ref_invalid)
+    assert np.array_equal(values, ref_values, equal_nan=True)
+    assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
+
+
+def _power_batches():
+    rng = np.random.default_rng(17)
+    pool = np.concatenate([SPECIAL_VALUES, rng.uniform(-3.0, 3.0, 38)])
+    for n in (1, 7, 50):
+        for start in range(0, pool.size, n):
+            yield pool[start : start + n]
+    yield rng.permutation(np.resize(pool, 1000))
+
+
+def _uses_general_power(program) -> bool:
+    return any(kind == kernels.STEP_POWER for kind, _ in program.steps)
+
+
+@pytest.mark.parametrize("exponent", POWER_EXPONENTS)
+def test_constant_exponent_power_matches_general_rule_bit_for_bit(exponent):
+    expr = Expression(Binary("pow", Variable(0), _literal(exponent)), 1)
+    program = kernels.compile_program(expr)
+    assert _uses_general_power(program) == (exponent in GENERAL_EXPONENTS)
+    for column in _power_batches():
+        got = kernels.eval_program_numpy(program, column[:, None])
+        _assert_same_bits(got, _general_power(column, np.float64(exponent)))
+
+
+@pytest.mark.parametrize(
+    "text, reference",
+    [
+        ("2**3", lambda X: _general_power(np.float64(2.0), np.float64(3.0))),
+        ("(-2)**3", lambda X: _general_power(np.float64(-2.0), np.float64(3.0))),
+        ("2**x[0]", lambda X: _general_power(np.float64(2.0), X[:, 0])),
+        ("x[0]**x[1]", lambda X: _general_power(X[:, 0], X[:, 1])),
+    ],
+)
+def test_constant_base_and_variable_exponent_powers_keep_the_general_rule(text, reference):
+    program = kernels.compile_program(parse(text, 2))
+    assert _uses_general_power(program)
+    rng = np.random.default_rng(23)
+    for column in _power_batches():
+        X = np.column_stack([column, rng.permutation(column)])
+        values, invalid = kernels.eval_program_numpy(program, X)
+        ref_values, ref_invalid = reference(X)
+        shape = column.shape
+        _assert_same_bits(
+            (values, invalid),
+            (np.broadcast_to(ref_values, shape), np.broadcast_to(ref_invalid, shape)),
+        )
+
+
 def test_compile_program_shape():
     expr = parse("sin(x[0]) + x[1]*x[2]", 3)
     prog = kernels.compile_program(expr)
@@ -134,10 +226,9 @@ def test_eval_program_validates_batch_shape():
 
 
 def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, EBG_NUMBA="0")
     out = subprocess.run(
         [sys.executable, "-c", "import ebg.kernels as k; print(k.backend_name())"],
-        env=env,
+        env=child_env(EBG_NUMBA="0"),
         capture_output=True,
         text=True,
         check=True,
