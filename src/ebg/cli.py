@@ -168,6 +168,29 @@ def _fail_validation(problems: list[str]) -> int:
     return EXIT_VALIDATION
 
 
+def _output_problem(path: Path, directory: bool) -> str | None:
+    """Why ``path`` cannot take a command's output, or None.
+
+    A directory output is created with its parents, so its nearest
+    existing ancestor must be a directory.  A file output needs an
+    existing parent directory and must not be a directory itself.
+    """
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            return f"{existing} exists and is not a directory"
+    elif path.is_dir():
+        return f"{path} is a directory"
+    elif not path.parent.is_dir():
+        return f"no directory {path.parent}"
+    return None
+
+
+def _fail_output(problem: str) -> int:
+    print(f"cannot write output: {problem}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         data = load_config(args.config)
@@ -182,6 +205,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if problems:
         return _fail_validation(problems)
     out_dir = Path(args.out)
+    problem = _output_problem(out_dir, directory=True)
+    if problem:
+        return _fail_output(problem)
     config = engine_config_from(data, str(out_dir))
     try:
         backend = build_backend(build(BackendConfig, data["backend"]), out_dir)
@@ -218,6 +244,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     problems = validate_config(data, require_backend=False)
     if problems:
         return _fail_validation(problems)
+    out = Path(args.out)
+    problem = _output_problem(out, directory=False)
+    if problem:
+        return _fail_output(problem)
     config = engine_config_from(data, None)
     try:
         expr = _load_expression(args, config.dimension)
@@ -247,7 +277,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         a1: list(evaluation.a1_best),
         a2: list(evaluation.a2_best),
     }
-    out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
@@ -263,6 +292,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _fail_validation(problems)
     analysis = build(AnalysisConfig, data["analysis"])
     out_dir = Path(args.out)
+    problem = _output_problem(out_dir, directory=True)
+    if problem:
+        return _fail_output(problem)
     if args.run is not None:
         try:
             record = load_run(args.run)
@@ -363,12 +395,15 @@ def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
 
 
 def cmd_lineage(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out if args.out is not None else args.run)
+    problem = _output_problem(out_dir, directory=True)
+    if problem:
+        return _fail_output(problem)
     try:
         record = load_run(args.run)
     except (OSError, ValueError, KeyError) as err:
         print(f"cannot load run: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir = Path(args.out if args.out is not None else args.run)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         write_lineage_outputs(record, out_dir)

@@ -1,11 +1,13 @@
 """Regenerate the bundled smoke transcript.
 
 Runs the engine against a fixed list of scripted responses and records
-every exchange, producing a transcript that replays the same small run
-deterministically.  It then replays the new transcript into a fresh
+every exchange into a temporary transcript that replays the same small
+run deterministically.  It then replays that transcript into a fresh
 directory and exits with status 1 unless every file of the replayed run
-except ``config.json`` is byte-equal to the recorded run's.  Run from
-the repository root:
+except ``config.json`` is byte-equal to the recorded run's.  The bundled
+transcript is overwritten only when its records differ from the new ones
+in a field other than ``timestamp``, so an unchanged engine leaves it
+untouched.  Run from the repository root:
 
     python3 tests/fixtures/make_smoke.py
 """
@@ -67,17 +69,31 @@ def replay_differences(recorded: Path, replayed: Path) -> list[str]:
     return mismatch + missing
 
 
+def _records(text: str) -> list[dict]:
+    records = [json.loads(line) for line in text.splitlines()]
+    for record in records:
+        record.pop("timestamp", None)
+    return records
+
+
 def main() -> int:
     transcript = FIXTURES / "smoke_transcript.jsonl"
     data = load_config(str(FIXTURES / "smoke_config.json"))
     with tempfile.TemporaryDirectory() as tmp:
         recorded, replayed = Path(tmp) / "recorded", Path(tmp) / "replayed"
-        backend = RecordingBackend(ScriptedBackend(RESPONSES), transcript)
+        fresh = Path(tmp) / "transcript.jsonl"
+        backend = RecordingBackend(ScriptedBackend(RESPONSES), fresh)
         record = run(engine_config_from(data, str(recorded)), backend)
-        run(engine_config_from(data, str(replayed)), ReplayBackend.from_path(transcript))
+        run(engine_config_from(data, str(replayed)), ReplayBackend.from_path(fresh))
         differences = replay_differences(recorded, replayed)
-    exchanges = len(transcript.read_text(encoding="utf-8").splitlines())
-    print(f"recorded {exchanges} exchanges -> {transcript}")
+        text = fresh.read_text(encoding="utf-8")
+    old = transcript.read_text(encoding="utf-8") if transcript.exists() else ""
+    exchanges = len(text.splitlines())
+    if _records(text) == _records(old):
+        print(f"recorded {exchanges} exchanges, the same as {transcript}; left it unchanged")
+    else:
+        transcript.write_text(text, encoding="utf-8")
+        print(f"recorded {exchanges} exchanges -> {transcript}")
     print(f"best: {record.best.text}  fitness {record.best.fitness:.6f}")
     print(json.dumps(record.best_per_generation))
     if differences:

@@ -502,3 +502,51 @@ def test_lineage_missing_run_directory(tmp_path, capsys):
     code = main(["lineage", "--run", str(tmp_path / "nope")])
     assert code == 1
     assert "cannot load run" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ output paths
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the command did work before checking --out")
+
+
+# (command, what is at the blocking path, whether --out lies inside it,
+# arguments besides --out, functions that do the command's work)
+REPLAY = ["--replay", SMOKE_TRANSCRIPT]
+EXPR = ["--expr", "x[0]**2"]
+EVALUATE_WORK = ["prevalidate", "evaluate_benchmark"]
+WRONG_OUT = {
+    "generate": ("generate", "file", False, ["--config", SMOKE_CONFIG, *REPLAY], ["run"]),
+    "generate-under-file": ("generate", "file", True, REPLAY, ["run"]),
+    "lineage": ("lineage", "file", False, ["--run", "never-read"], ["load_run"]),
+    "analyze": ("analyze", "file", False, EXPR, ["sobol_indices", "curvature_features"]),
+    "evaluate": ("evaluate", "dir", False, EXPR, EVALUATE_WORK),
+    "evaluate-under-file": ("evaluate", "file", True, EXPR, EVALUATE_WORK),
+    "evaluate-in-missing-dir": ("evaluate", None, True, EXPR, EVALUATE_WORK),
+}
+
+
+@pytest.mark.parametrize("command, blocker, inside, argv, work", WRONG_OUT.values(), ids=WRONG_OUT)
+def test_output_of_the_wrong_kind_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, blocker, inside, argv, work
+):
+    for name in work:
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    block = tmp_path / "out"
+    if blocker == "file":
+        block.write_text("keep\n")
+    elif blocker == "dir":
+        block.mkdir()
+    out = block / "report" if inside else block
+    code = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("cannot write output:") and str(block) in err
+    assert "Traceback" not in err
+    if blocker == "file":
+        assert block.read_text() == "keep\n"
+    elif blocker == "dir":
+        assert not any(block.iterdir())
+    else:
+        assert not block.exists()

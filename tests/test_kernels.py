@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
 
@@ -35,30 +37,17 @@ SPECIAL_VALUES = [
 ]
 
 
-def eval_program_scalar_twin(prog, X):
-    """The numba kernel's source run as plain Python, so the twin is
-    checked even where numba is missing."""
-    with np.errstate(all="ignore"):
-        return kernels._eval_program_scalar(prog.codes, prog.operands, X, prog.stack_need)
-
-
-PATHS = [kernels.eval_program_numpy, eval_program_scalar_twin] + (
-    [kernels.eval_program_numba] if kernels.HAS_NUMBA else []
-)
-
-
 def _batch(seed: int, n: int, d: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-1, 1, (n, d))
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_kernels_match_reference_semantics(path):
+def test_kernels_match_reference_semantics():
     rng = np.random.default_rng(3)
     for text in CASES:
         expr = parse(text, 5)
         prog = kernels.compile_program(expr)
         X = _batch(int(rng.integers(1 << 30)), 64, 5)
-        values, invalid = path(prog, X)
+        values, invalid = kernels.eval_program(prog, X)
         assert invalid.dtype == np.bool_
         for i in range(64):
             ref = evaluate(expr, X[i])
@@ -69,8 +58,7 @@ def test_kernels_match_reference_semantics(path):
                 assert np.isnan(values[i])
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_kernels_match_reference_on_random_trees(path):
+def test_kernels_match_reference_on_random_trees():
     rng = np.random.default_rng(99)
     for k in range(60):
         expr = random_expression(rng, 4, int(rng.integers(1, 6)))
@@ -79,7 +67,7 @@ def test_kernels_match_reference_on_random_trees(path):
         specials = np.full((len(SPECIAL_VALUES), 4), 0.5)
         specials[:, k % 4] = SPECIAL_VALUES
         X = np.vstack([rng.uniform(-1, 1, (16, 4)), specials])
-        values, invalid = path(prog, X)
+        values, invalid = kernels.eval_program(prog, X)
         for i in range(X.shape[0]):
             ref = evaluate(expr, X[i])
             assert bool(invalid[i]) == (not ref.ok), (expr, X[i])
@@ -104,35 +92,20 @@ SWALLOWED = [
 ]
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_kernels_keep_swallowed_failures_invalid(path):
+def test_kernels_keep_swallowed_failures_invalid():
     X = _batch(7, 64, 5)
     X[:4, 0] = 0.0
     # an exponent within the tolerance of an integer counts as that
     # integer, so negative bases stay valid there
     for text in SWALLOWED + ["x[0]**2.0000000001"]:
         expr = parse(text, 5)
-        values, invalid = path(kernels.compile_program(expr), X)
+        values, invalid = kernels.eval_program(kernels.compile_program(expr), X)
         for i in range(64):
             ref = evaluate(expr, X[i])
             assert bool(invalid[i]) == (not ref.ok), (text, i)
             if ref.ok:
                 assert abs(values[i] - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
         assert invalid.any() == (text in SWALLOWED), text
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba backend disabled")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(5)
-    for text in CASES:
-        prog = kernels.compile_program(parse(text, 5))
-        X = _batch(int(rng.integers(1 << 30)), 256, 5)
-        vj, ij = kernels.eval_program_numba(prog, X)
-        vn, in_ = kernels.eval_program_numpy(prog, X)
-        assert np.array_equal(ij, in_), text
-        ok = ~ij
-        scale = np.maximum(1.0, np.abs(vj[ok]))
-        assert np.all(np.abs(vj[ok] - vn[ok]) <= 1e-12 * scale), text
 
 
 # ------------------------------------------------ constant-exponent powers
@@ -182,7 +155,7 @@ def test_constant_exponent_power_matches_general_rule_bit_for_bit(exponent):
     program = kernels.compile_program(expr)
     assert _uses_general_power(program) == (exponent in GENERAL_EXPONENTS)
     for column in _power_batches():
-        got = kernels.eval_program_numpy(program, column[:, None])
+        got = kernels.eval_program(program, column[:, None])
         _assert_same_bits(got, _general_power(column, np.float64(exponent)))
 
 
@@ -201,7 +174,7 @@ def test_constant_base_and_variable_exponent_powers_keep_the_general_rule(text, 
     rng = np.random.default_rng(23)
     for column in _power_batches():
         X = np.column_stack([column, rng.permutation(column)])
-        values, invalid = kernels.eval_program_numpy(program, X)
+        values, invalid = kernels.eval_program(program, X)
         ref_values, ref_invalid = reference(X)
         shape = column.shape
         _assert_same_bits(
@@ -213,9 +186,8 @@ def test_constant_base_and_variable_exponent_powers_keep_the_general_rule(text, 
 def test_compile_program_shape():
     expr = parse("sin(x[0]) + x[1]*x[2]", 3)
     prog = kernels.compile_program(expr)
-    assert prog.codes.shape == prog.operands.shape
+    assert prog.codes.dtype == np.int64
     assert len(prog.codes) == node_count(expr)
-    assert 1 <= prog.stack_need <= node_count(expr)
     assert prog.dimension == 3
 
 
@@ -225,12 +197,73 @@ def test_eval_program_validates_batch_shape():
         kernels.eval_program(prog, np.zeros((4, 3)))
 
 
-def test_env_flag_selects_numpy_backend():
-    out = subprocess.run(
-        [sys.executable, "-c", "import ebg.kernels as k; print(k.backend_name())"],
-        env=child_env(EBG_NUMBA="0"),
-        capture_output=True,
-        text=True,
-        check=True,
+
+
+# ------------------------------------------------ ill-conditioned formulas
+
+# the outer sin amplifies the last-bit differences between numpy's and
+# math's sinh and tan by the size of its argument u
+ILL_CONDITIONED = "sin((x[0] - sinh((1.017 - x[1])/abs(x[1])))*tan(-abs(1.102)))"
+
+
+def test_kernel_error_on_an_ill_conditioned_formula_scales_with_the_argument():
+    expr = parse(ILL_CONDITIONED, 2)
+    argument = Expression(expr.root.operand, 2)
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 2))
+    values, invalid = kernels.eval_program(kernels.compile_program(expr), X)
+    eps = np.finfo(np.float64).eps
+    for i, x in enumerate(X):
+        ref = evaluate(expr, x)
+        assert bool(invalid[i]) == (not ref.ok), x
+        if not ref.ok:
+            continue
+        u = abs(evaluate(argument, x).value)
+        error = abs(values[i] - ref.value)
+        assert error <= 4 * eps * max(1.0, u), (x, u)
+        if u < 1e3:
+            assert error <= 1e-12 * max(1.0, abs(ref.value)), (x, u)
+
+
+# --------------------------------------------------------- one evaluation path
+
+# prints what a run's fitness depends on in the kernel: the backend, whether
+# numba was loaded, and the bytes of one batch evaluation
+PROBE = """
+import hashlib, importlib.util, json, sys
+import numpy as np
+import ebg.cli
+from ebg import kernels
+from ebg.expressions import GA_ADVANTAGE_EXAMPLE, parse
+X = np.random.default_rng(11).uniform(-5.0, 5.0, (300, 5))
+values, invalid = kernels.eval_program(
+    kernels.compile_program(parse(GA_ADVANTAGE_EXAMPLE, 5)), X
+)
+print(json.dumps({
+    "numba_findable": importlib.util.find_spec("numba") is not None,
+    "backend": kernels.backend_name(),
+    "numba_imported": "numba" in sys.modules,
+    "digest": hashlib.sha256(values.tobytes() + invalid.tobytes()).hexdigest(),
+}))
+"""
+
+
+def _probe(env: dict) -> dict:
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "numpy"
+    return json.loads(result.stdout)
+
+
+def test_evaluation_does_not_depend_on_installed_packages(tmp_path):
+    # a stand-in numba whose njit leaves the function as it is
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text(
+        "def njit(*args, **kwargs):\n    return lambda function: function\n"
+    )
+    stubbed = child_env()
+    stubbed["PYTHONPATH"] = os.pathsep.join([str(tmp_path), stubbed["PYTHONPATH"]])
+    with_stub, without = _probe(stubbed), _probe(child_env())
+    assert with_stub.pop("numba_findable")
+    without.pop("numba_findable")
+    assert with_stub == without
+    assert with_stub["backend"] == "numpy" and not with_stub["numba_imported"]
