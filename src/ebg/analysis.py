@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import raise_problems
-from .engine import Benchmark, LineageEvent, RunRecord
+from .engine import ORIGIN_CROSSOVER, ORIGIN_MUTATION, Benchmark, LineageEvent, RunRecord
 from .expressions import Expression, evaluate
 from .fitness import run_trials
 from .kernels import compile_program, eval_program
@@ -328,10 +328,10 @@ def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
             continue
         visited.add(node)
         event = events[node]
-        if event.kind not in ("crossover", "mutation"):
+        if event.kind not in (ORIGIN_CROSSOVER, ORIGIN_MUTATION):
             continue
         if not event.identical:
-            if event.kind == "crossover":
+            if event.kind == ORIGIN_CROSSOVER:
                 crossover += 1
             else:
                 mutation += 1

@@ -31,8 +31,11 @@ from .analysis import (
     pairwise_levenshtein,
     sobol_indices,
 )
-from .config import ConfigError, build
+from .config import ConfigError, build, raise_problems
 from .engine import (
+    ORIGIN_CROSSOVER,
+    ORIGIN_INIT,
+    ORIGIN_MUTATION,
     EngineAbort,
     EngineConfig,
     RunRecord,
@@ -73,32 +76,41 @@ def default_config() -> dict:
     return {**engine, "backend": backend, "analysis": dataclasses.asdict(AnalysisConfig())}
 
 
-def _merge(base: dict, override: dict, unknown: list[str], prefix: str = "") -> dict:
-    """``override`` over ``base``; keys ``base`` lacks go to ``unknown``."""
+def _merge(base: dict, override: dict, unknown: list[str], problems: list[str], prefix: str = "") -> dict:
+    """``override`` over ``base``; keys ``base`` lacks go to ``unknown``,
+    and a block of ``base`` given anything but an object to ``problems``."""
     out = dict(base)
     for key, value in override.items():
         if key not in base:
             unknown.append(prefix + key)
-        elif isinstance(value, dict) and isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, unknown, f"{prefix}{key}.")
-        else:
+        elif not isinstance(base[key], dict):
             out[key] = value
+        elif isinstance(value, dict):
+            out[key] = _merge(base[key], value, unknown, problems, f"{prefix}{key}.")
+        else:
+            problems.append(f"{prefix}{key}: must be an object")
     return out
 
 
 def load_config(path: str | None) -> dict:
     """User config merged over defaults; a missing path means defaults.
 
-    A key the schema does not know, at any level, raises ValueError.
+    A file that is not a JSON object, a block that is not an object and
+    a key the schema does not know, at any level, raise ConfigError, a
+    ValueError, listing every such problem.
     """
     data = default_config()
     if path is not None:
         with open(path, encoding="utf-8") as handle:
             user = json.load(handle)
+        if not isinstance(user, dict):
+            raise ConfigError([f"{path}: must be an object"])
         unknown: list[str] = []
-        data = _merge(data, user, unknown)
+        problems: list[str] = []
+        data = _merge(data, user, unknown, problems)
         if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+            problems.append(f"unknown config keys: {unknown}")
+        raise_problems(problems)
     return data
 
 
@@ -147,13 +159,7 @@ def engine_config_from(data: dict, output_dir: str | None) -> EngineConfig:
 def build_backend(config: BackendConfig, out_dir: Path):
     if config.mode == "replay":
         return ReplayBackend.from_path(config.transcript)
-    live = LiveBackend(
-        endpoint_url=config.endpoint_url,
-        api_key=config.api_key,
-        model=config.model,
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-    )
+    live = LiveBackend(config)
     if config.mode == "record":
         return RecordingBackend(live, out_dir / "transcript.jsonl")
     return live
@@ -226,14 +232,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_expression(args: argparse.Namespace, dimension: int):
-    if args.expr is not None:
-        text = args.expr
-    else:
-        text = Path(args.file).read_text(encoding="utf-8").strip()
-    return parse(text, dimension)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         data = load_config(args.config)
@@ -250,7 +248,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return _fail_output(problem)
     config = engine_config_from(data, None)
     try:
-        expr = _load_expression(args, config.dimension)
+        # read once: the report names the text that was scored
+        text = args.expr if args.expr is not None else Path(args.file).read_text(encoding="utf-8").strip()
+        expr = parse(text, config.dimension)
     except (OSError, ParseError, SymbolError, DimensionError) as err:
         print(f"bad expression: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -268,7 +268,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for i, (va, vb) in enumerate(zip(evaluation.a1_best, evaluation.a2_best)):
         print(f"{i:5d}  {va:12.5g}  {vb:12.5g}")
     payload = {
-        "expression": args.expr if args.expr is not None else Path(args.file).read_text().strip(),
+        "expression": text,
         "fitness": evaluation.fitness,
         "rank_term": None if math.isnan(evaluation.rank_term) else evaluation.rank_term,
         "penalty_term": None if math.isnan(evaluation.penalty_term) else evaluation.penalty_term,
@@ -375,7 +375,7 @@ def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
     payload = {"best_id": record.best.id, **dataclasses.asdict(stats)}
     (out_dir / "operator_stats.json").write_text(json.dumps(payload, indent=2) + "\n")
 
-    styles = {"crossover": "solid", "mutation": "dashed", "init_llm": "dotted"}
+    styles = {ORIGIN_CROSSOVER: "solid", ORIGIN_MUTATION: "dashed", ORIGIN_INIT: "dotted"}
     lines = ["digraph lineage {", "  node [shape=box];"]
     for event in record.lineage:
         known = individuals.get(event.child_id)

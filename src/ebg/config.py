@@ -9,6 +9,7 @@ one pass over a config reports all of its problems.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 
 class ConfigError(ValueError):
@@ -28,32 +29,34 @@ def raise_problems(problems: list[str]) -> None:
 def build(cls, data: dict):
     """Build config dataclass ``cls`` from plain data such as parsed JSON.
 
-    A field whose default factory is itself a dataclass is a nested
-    block, built from the matching sub-dict.  Missing keys keep their
-    defaults.  Unknown keys, non-numbers in numeric fields and every
-    violated field of every block are collected into one ConfigError;
-    messages from a nested block are prefixed with its name.
+    The declared type of each field decides what its value may be: a
+    field typed as a dataclass is a nested block, built from the matching
+    sub-dict; an ``int`` field takes an integer and a ``float`` field any
+    number, and neither takes a bool.  Missing keys keep their defaults.
+    Unknown keys, values of the wrong type and every violated field of
+    every block are collected into one ConfigError; messages from a
+    nested block are prefixed with its name.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    problems = [f"{key}: unknown key" for key in data if key not in fields]
+    types = typing.get_type_hints(cls)  # a config dataclass annotates only its fields
+    problems = []
     kwargs = {}
     for key, value in data.items():
-        if key not in fields:
-            continue
-        block = fields[key].default_factory
-        if dataclasses.is_dataclass(block):
-            if not isinstance(value, dict):
-                problems.append(f"{key}: must be an object")
-                continue
+        kind = types.get(key)
+        if kind is None:
+            problems.append(f"{key}: unknown key")
+        elif dataclasses.is_dataclass(kind) and not isinstance(value, dict):
+            problems.append(f"{key}: must be an object")
+        elif dataclasses.is_dataclass(kind):
             try:
-                value = build(block, value)
+                kwargs[key] = build(kind, value)
             except ConfigError as err:
                 problems += [f"{key}.{problem}" for problem in err.problems]
-                continue
-        elif isinstance(fields[key].default, (int, float)) and not isinstance(value, (int, float)):
+        elif kind is int and isinstance(value, (bool, float)):
+            problems.append(f"{key}: must be an integer")
+        elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
             problems.append(f"{key}: must be a number")
-            continue
-        kwargs[key] = value
+        else:
+            kwargs[key] = value
     try:
         config = cls(**kwargs)
     except ConfigError as err:

@@ -294,7 +294,7 @@ def _breed(
 def initialize_population(
     config: EngineConfig,
     client: ChatBackend,
-    state: EngineState | None = None,
+    state: EngineState,
 ) -> list[Benchmark]:
     """Seed member plus N-1 conditioned members, all evaluated.
 
@@ -303,8 +303,6 @@ def initialize_population(
     previously accepted member, so the context grows as the population
     fills.
     """
-    if state is None:
-        state = EngineState()
     validator = _validator(config)
     population = [_admit(state, config, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
     while len(population) < config.population_size:
@@ -328,12 +326,9 @@ def step_generation(
     client: ChatBackend,
     rng: np.random.Generator,
     generation: int,
-    state: EngineState | None = None,
+    state: EngineState,
 ) -> tuple[list[Benchmark], list[LineageEvent]]:
     """One generation: N offspring, then elitist selection from P union Q."""
-    if state is None:
-        state = EngineState()
-        state.next_id = max(b.id for b in population) + 1
     validator = _validator(config)
     before = len(state.lineage)
     offspring: list[Benchmark] = []

@@ -2,9 +2,10 @@
 
 Expressions are the genome of the benchmark generator: closed-form
 formulas in variables ``x[0] .. x[D-1]`` built from arithmetic operators
-and a whitelist of unary functions.  The surface syntax is a single line
-of Python-compatible code (``x[i]`` indexing, ``**`` power, function
-call notation), which is exactly what appears in prompts, persisted run
+and the unary functions of one table, ``UNARY_FUNCTIONS``; the parser
+accepts no other function name.  The surface syntax is a single line of
+Python-compatible code (``x[i]`` indexing, ``**`` power, function call
+notation), which is exactly what appears in prompts, persisted run
 files, and CLI input.
 
 Evaluation is total: instead of raising on bad math it returns an
@@ -24,11 +25,6 @@ from typing import Iterator, Sequence, Union
 
 UNARY_FUNCTIONS = ("neg", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "abs")
 BINARY_OPERATORS = ("add", "sub", "mul", "div", "pow")
-
-# Functions an LLM-produced formula may use.  "neg" governs unary minus.
-DEFAULT_WHITELIST = frozenset(
-    {"sqrt", "sin", "sinh", "abs", "cos", "cosh", "tan", "tanh", "neg"}
-)
 
 # Invalid-evaluation causes.
 CAUSE_NAN = "nan"
@@ -56,7 +52,7 @@ class ParseError(ExpressionError):
 
 
 class SymbolError(ExpressionError):
-    """A function name outside the active whitelist."""
+    """A function name outside ``UNARY_FUNCTIONS``."""
 
     def __init__(self, symbol: str):
         super().__init__(f"function {symbol!r} is not in the whitelist")
@@ -254,11 +250,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser for the Python-style surface syntax."""
 
-    def __init__(self, text: str, dimension: int, whitelist: frozenset[str]):
+    def __init__(self, text: str, dimension: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dimension = dimension
-        self.whitelist = whitelist
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -297,8 +292,6 @@ class _Parser:
     def unary(self) -> Node:
         if self.peek()[1] == "-":
             self.take()
-            if "neg" not in self.whitelist:
-                raise SymbolError("neg")
             return Unary("neg", self.unary())
         return self.power()
 
@@ -325,7 +318,7 @@ class _Parser:
                 if index >= self.dimension:
                     raise DimensionError(index, self.dimension)
                 return Variable(index)
-            if val not in UNARY_FUNCTIONS or val not in self.whitelist:
+            if val not in UNARY_FUNCTIONS:
                 # a name followed by "(" is a function someone tried to
                 # use; a bare name is just unparseable prose
                 if self.peek()[1] == "(":
@@ -342,22 +335,18 @@ class _Parser:
         raise ParseError(f"expected a value, found {val or 'end of input'!r}", start)
 
 
-def parse(
-    text: str,
-    dimension: int,
-    whitelist: frozenset[str] = DEFAULT_WHITELIST,
-) -> Expression:
+def parse(text: str, dimension: int) -> Expression:
     """Parse one expression line into a tree bound to ``dimension``.
 
     Raises :class:`ParseError` on syntax errors (with position),
-    :class:`SymbolError` on non-whitelisted function names, and
-    :class:`DimensionError` on out-of-range variable indices.  No
+    :class:`SymbolError` on a function name outside ``UNARY_FUNCTIONS``,
+    and :class:`DimensionError` on out-of-range variable indices.  No
     simplification or constant folding is performed: lineage analysis
     depends on the surface form surviving a parse/render round trip.
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return Expression(_Parser(text, dimension, whitelist).parse(), dimension)
+    return Expression(_Parser(text, dimension).parse(), dimension)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
+    BINARY_OPERATORS,
     INTEGER_POWER_TOLERANCE,
+    UNARY_FUNCTIONS,
     Constant,
     Expression,
     Node,
@@ -40,10 +42,7 @@ from .expressions import (
 # one opcode per instruction: leaf ops, then unaries, then binaries
 OPCODES = {
     name: code
-    for code, name in enumerate(
-        ("const", "var", "neg", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "abs")
-        + ("add", "sub", "mul", "div", "pow")
-    )
+    for code, name in enumerate(("const", "var") + UNARY_FUNCTIONS + BINARY_OPERATORS)
 }
 
 _UNARY_FUNCTIONS = {

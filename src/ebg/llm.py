@@ -25,7 +25,6 @@ from typing import Callable, Protocol
 
 from .config import raise_problems
 from .expressions import (
-    DEFAULT_WHITELIST,
     DimensionError,
     Expression,
     ParseError,
@@ -36,7 +35,9 @@ from .expressions import (
 
 PROMPT_KINDS = ("init", "crossover", "mutation")
 
-# Advertised operator set; the sanitizer accepts the full whitelist.
+# The operator set every prompt advertises.  The sanitizer accepts every
+# function of expressions.UNARY_FUNCTIONS, so a response using cos, tan,
+# cosh, tanh or neg(...) is kept although the prompt does not list them.
 DEFAULT_OPERATOR_LIST = "[+,-,*,/,**,sqrt,sin,sinh,abs]"
 
 _TEMPLATE_HEAD = (
@@ -62,7 +63,6 @@ class PromptSpec:
     a1: str
     a2: str
     examples: tuple[str, ...]
-    operator_list_text: str = DEFAULT_OPERATOR_LIST
 
     def __post_init__(self) -> None:
         if self.kind not in PROMPT_KINDS:
@@ -88,7 +88,7 @@ def build_prompt(spec: PromptSpec) -> str:
         + "\n"
         + "\n".join(example_lines)
         + "\n"
-        + _TEMPLATE_TAIL.format(d=spec.dimension, operators=spec.operator_list_text)
+        + _TEMPLATE_TAIL.format(d=spec.dimension, operators=DEFAULT_OPERATOR_LIST)
     )
 
 
@@ -140,17 +140,13 @@ def _strip_prefixes(line: str) -> str:
     return line
 
 
-def sanitize_response(
-    text: str,
-    dimension: int,
-    whitelist: frozenset[str] = DEFAULT_WHITELIST,
-) -> Expression | Rejection:
+def sanitize_response(text: str, dimension: int) -> Expression | Rejection:
     """Extract one expression from a raw chat response.
 
     Strips code fences and known prefixes, then returns the first line
-    that parses.  When nothing parses, the cause prefers a whitelist or
-    index violation over a generic syntax failure, since that points at
-    an actual formula rather than prose.
+    that parses.  When nothing parses, the cause prefers an unknown
+    function or an index violation over a generic syntax failure, since
+    that points at an actual formula rather than prose.
     """
     if not text or not text.strip():
         return Rejection(REJECT_EMPTY)
@@ -165,7 +161,7 @@ def sanitize_response(
             continue
         saw_line = True
         try:
-            return parse(line, dimension, whitelist)
+            return parse(line, dimension)
         except SymbolError as err:
             if fallback is None or fallback.cause == REJECT_UNPARSEABLE:
                 fallback = Rejection(REJECT_SYMBOL, err.symbol)
@@ -271,23 +267,8 @@ class BackendConfig:
 class LiveBackend:
     """Thin chat-completions client: one user message, first choice out."""
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        api_key: str | None = None,
-        model: str = "",
-        temperature: float = BackendConfig.temperature,
-        max_tokens: int = BackendConfig.max_tokens,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-    ):
-        if not endpoint_url:
-            raise ValueError("live backend needs an endpoint URL")
-        self.endpoint_url = endpoint_url
-        self.api_key = api_key
-        self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
+    def __init__(self, config: BackendConfig, timeout: float = 60.0, max_retries: int = 3):
+        self.config = config
         self.timeout = timeout
         self.max_retries = max_retries
 
@@ -297,19 +278,19 @@ class LiveBackend:
         import requests  # costs a third of `import ebg.cli`, and only live calls need it
 
         headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        if self.config.api_key:
+            headers["Authorization"] = f"Bearer {self.config.api_key}"
         payload = {
-            "model": self.model,
+            "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": self.config.temperature,
+            "max_tokens": self.config.max_tokens,
         }
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
                 reply = requests.post(
-                    self.endpoint_url, json=payload, headers=headers, timeout=self.timeout
+                    self.config.endpoint_url, json=payload, headers=headers, timeout=self.timeout
                 )
                 reply.raise_for_status()
                 data = reply.json()
@@ -326,10 +307,9 @@ class ReplayBackend:
 
     Entries sharing a digest form a FIFO queue, so a recorded run with
     repeated prompts (and sampled, differing responses) replays in the
-    original order; once a queue is down to one entry it keeps serving
-    it.  A prompt with no recorded entry always raises
-    TranscriptMissError, so a replay either reproduces the recorded run
-    or stops.
+    original order, each entry served once.  A prompt with no recorded
+    entry left raises TranscriptMissError, so a replay either reproduces
+    the recorded run or stops.
     """
 
     name = "replay"
@@ -348,7 +328,7 @@ class ReplayBackend:
         queue = self._queues.get(digest)
         if not queue:
             raise TranscriptMissError(digest)
-        return queue.pop(0) if len(queue) > 1 else queue[0]
+        return queue.pop(0)
 
 
 class RecordingBackend:
@@ -419,7 +399,6 @@ def generate_offspring(
     backend: ChatBackend,
     policy: RetryPolicy = RetryPolicy(),
     validator: Callable[[Expression], bool] | None = None,
-    whitelist: frozenset[str] = DEFAULT_WHITELIST,
 ) -> OffspringResult:
     """Prompt, sanitize, validate; retry up to the per-offspring budget.
 
@@ -434,7 +413,7 @@ def generate_offspring(
     last_cause = "no attempt"
     for attempt in range(1, policy.max_attempts_per_offspring + 1):
         response = backend.complete(prompt)
-        result = sanitize_response(response, spec.dimension, whitelist)
+        result = sanitize_response(response, spec.dimension)
         if isinstance(result, Rejection):
             last_cause = f"{result.cause}: {result.detail}" if result.detail else result.cause
             continue

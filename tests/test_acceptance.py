@@ -27,7 +27,7 @@ from ebg.expressions import (
 )
 from ebg.fitness import FitnessConfig, pooled_rank_fitness
 from ebg.kernels import compile_program, eval_program
-from ebg.llm import LiveBackend, RetryPolicy
+from ebg.llm import BackendConfig, LiveBackend, RetryPolicy
 from ebg.optimizers import (
     DeConfig,
     GaConfig,
@@ -241,9 +241,11 @@ def test_criterion_10_optional_live_smoke(tmp_path):
     that a tiny live-driven run completes and persists.
     """
     backend = LiveBackend(
-        endpoint_url=os.environ["EBG_API_URL"],
-        api_key=os.environ.get("EBG_API_KEY"),
-        model=os.environ.get("EBG_MODEL", ""),
+        BackendConfig(
+            endpoint_url=os.environ["EBG_API_URL"],
+            api_key=os.environ.get("EBG_API_KEY"),
+            model=os.environ.get("EBG_MODEL", ""),
+        )
     )
     config = EngineConfig(
         population_size=3,

@@ -13,6 +13,7 @@ import pytest
 from ebg import cli
 from ebg.cli import default_config, load_config, main, validate_config
 from ebg.engine import load_lineage, load_run
+from ebg.fitness import evaluate_benchmark
 from ebg.llm import TransportError
 from helpers import child_env
 
@@ -134,6 +135,44 @@ def test_unknown_nested_config_key_is_validation_error(tmp_path, capsys, block, 
     code = main(["analyze", "--expr", "x[0]*x[1]", "--config", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert f"{block}.{key}" in capsys.readouterr().err
+
+
+# (command, config file contents, problems that must each be printed)
+WRONG_TYPE = {
+    "file-not-object": ("analyze", [1, 2], ["must be an object"]),
+    "analysis-number": ("analyze", {"analysis": 3}, ["analysis: must be an object"]),
+    "analysis-string": ("analyze", {"analysis": "ab"}, ["analysis: must be an object"]),
+    "backend-analyze": ("analyze", {"backend": 3}, ["backend: must be an object"]),
+    "backend-generate": ("generate", {"backend": 3}, ["backend: must be an object"]),
+    "float-trials": ("analyze", {"fitness": {"trials": 2.5}}, ["fitness.trials: must be an integer"]),
+    "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
+    "bool-dimension": ("analyze", {"dimension": True}, ["dimension: must be an integer"]),
+    "bool-float": ("analyze", {"crossover_rate": True}, ["crossover_rate: must be a number"]),
+    "all-at-once": (
+        "generate",
+        {"dimension": True, "fitness": {"trials": 2.5}, "ga": {"mutation_rate": False}},
+        [
+            "dimension: must be an integer",
+            "fitness.trials: must be an integer",
+            "ga.mutation_rate: must be a number",
+            "backend.endpoint_url: required",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("command, content, problems", WRONG_TYPE.values(), ids=WRONG_TYPE)
+def test_config_value_of_the_wrong_json_type_fails_cleanly(tmp_path, capsys, command, content, problems):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    target = ["--expr", "x[0]*x[1]"] if command == "analyze" else []
+    code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and "Traceback" not in err
+    for problem in problems:
+        assert problem in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- generate
@@ -298,6 +337,25 @@ def test_evaluate_reads_expression_from_file(tmp_path, capsys):
     code = main(["evaluate", "--file", str(source), "--config", config, "--out", str(report)])
     assert code == 0
     assert json.loads(report.read_text())["expression"] == "x[0]**2 + x[1]**2"
+
+
+def test_evaluate_reports_the_text_it_scored(tmp_path, capsys, monkeypatch):
+    config = _write_config(tmp_path, **TINY_BLOCKS)
+    source = tmp_path / "expr.txt"
+    source.write_text("x[0]**2\n", encoding="utf-8")
+    scored = []
+
+    def rewrite_mid_run(expr, *args):
+        scored.append(str(expr))
+        source.write_text("x[1]**4\n", encoding="utf-8")
+        return evaluate_benchmark(expr, *args)
+
+    monkeypatch.setattr(cli, "evaluate_benchmark", rewrite_mid_run)
+    report = tmp_path / "evaluation.json"
+    code = main(["evaluate", "--file", str(source), "--config", config, "--out", str(report)])
+    assert code == 0
+    assert scored == ["x[0]**2"]
+    assert json.loads(report.read_text(encoding="utf-8"))["expression"] == "x[0]**2"
 
 
 # ----------------------------------------------------------------- analyze

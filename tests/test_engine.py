@@ -185,7 +185,7 @@ def test_initialize_population_seed_and_conditioning():
 def test_initialize_population_replay_miss_propagates():
     config = tiny_config()
     with pytest.raises(TranscriptMissError):
-        initialize_population(config, ReplayBackend([]))
+        initialize_population(config, ReplayBackend([]), EngineState())
 
 
 # ------------------------------------------------------------- generations

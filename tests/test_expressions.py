@@ -56,13 +56,6 @@ def test_parse_out_of_range_index():
     parse("x[4]", 5)  # boundary index is fine
 
 
-def test_parse_whitelist_is_enforced():
-    with pytest.raises(SymbolError):
-        parse("cos(x[0])", 1, whitelist=frozenset({"sin", "neg"}))
-    with pytest.raises(SymbolError):
-        parse("-x[0]", 1, whitelist=frozenset({"sin"}))
-
-
 def test_parse_rejects_empty_and_trailing():
     with pytest.raises(ParseError):
         parse("   ", 1)

@@ -10,6 +10,7 @@ import pytest
 from ebg.expressions import Expression, parse, render
 from ebg.llm import (
     AttemptsExhausted,
+    BackendConfig,
     LiveBackend,
     OffspringResult,
     PromptSpec,
@@ -189,7 +190,8 @@ def test_replay_fifo_per_digest():
     backend = ReplayBackend([_entry("p", "a"), _entry("p", "b")])
     assert backend.complete("p") == "a"
     assert backend.complete("p") == "b"
-    assert backend.complete("p") == "b"  # last entry keeps serving
+    with pytest.raises(TranscriptMissError):  # each entry is served once
+        backend.complete("p")
 
 
 def test_recording_backend_round_trip(tmp_path):
@@ -235,9 +237,11 @@ def test_live_backend_transport():
     thread.start()
     try:
         backend = LiveBackend(
-            endpoint_url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-            api_key="k",
-            model="m",
+            BackendConfig(
+                endpoint_url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+                api_key="k",
+                model="m",
+            )
         )
         assert backend.complete("hello") == "Problem: f(x) = x[0]**2"
     finally:
@@ -246,7 +250,9 @@ def test_live_backend_transport():
 
 def test_live_backend_failure_is_transport_error():
     backend = LiveBackend(
-        endpoint_url="http://127.0.0.1:9/nothing", model="m", max_retries=1, timeout=0.5
+        BackendConfig(endpoint_url="http://127.0.0.1:9/nothing", model="m"),
+        max_retries=1,
+        timeout=0.5,
     )
     with pytest.raises(TransportError):
         backend.complete("hello")
