@@ -92,25 +92,35 @@ def _merge(base: dict, override: dict, unknown: list[str], problems: list[str], 
     return out
 
 
-def load_config(path: str | None) -> dict:
-    """User config merged over defaults; a missing path means defaults.
+def read_config(path: str | None) -> tuple[dict, list[str]]:
+    """User config merged over defaults, and the problems of its shape.
 
-    A file that is not a JSON object, a block that is not an object and
-    a key the schema does not know, at any level, raise ConfigError, a
-    ValueError, listing every such problem.
+    A missing path means defaults.  A block given anything but an object
+    keeps its defaults and a key the schema does not know is dropped;
+    each is listed in the returned problems, to which a command adds
+    those of :func:`validate_config` so that one load reports them all.
+    A file that is not a JSON object raises ConfigError, a ValueError.
     """
     data = default_config()
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            user = json.load(handle)
-        if not isinstance(user, dict):
-            raise ConfigError([f"{path}: must be an object"])
-        unknown: list[str] = []
-        problems: list[str] = []
-        data = _merge(data, user, unknown, problems)
-        if unknown:
-            problems.append(f"unknown config keys: {unknown}")
-        raise_problems(problems)
+    if path is None:
+        return data, []
+    with open(path, encoding="utf-8") as handle:
+        user = json.load(handle)
+    if not isinstance(user, dict):
+        raise ConfigError([f"{path}: must be an object"])
+    unknown: list[str] = []
+    problems: list[str] = []
+    data = _merge(data, user, unknown, problems)
+    if unknown:
+        problems.append(f"unknown config keys: {unknown}")
+    return data, problems
+
+
+def load_config(path: str | None) -> dict:
+    """:func:`read_config`'s merged config; any problem of its shape
+    raises ConfigError listing every one."""
+    data, problems = read_config(path)
+    raise_problems(problems)
     return data
 
 
@@ -199,7 +209,7 @@ def _fail_output(problem: str) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        data = load_config(args.config)
+        data, problems = read_config(args.config)
     except (OSError, ValueError) as err:
         return _fail_validation([str(err)])
     data = apply_env_overrides(data)
@@ -207,7 +217,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         data["backend"] = {**data["backend"], "mode": "replay", "transcript": args.replay}
     if args.seed is not None:
         data["seed"] = args.seed
-    problems = validate_config(data)
+    problems += validate_config(data)
     if problems:
         return _fail_validation(problems)
     out_dir = Path(args.out)
@@ -234,12 +244,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        data = load_config(args.config)
+        data, problems = read_config(args.config)
     except (OSError, ValueError) as err:
         return _fail_validation([str(err)])
     if args.seed is not None:
         data["fitness"] = {**data["fitness"], "base_seed": args.seed}
-    problems = validate_config(data, require_backend=False)
+    problems += validate_config(data, require_backend=False)
     if problems:
         return _fail_validation(problems)
     out = Path(args.out)
@@ -284,10 +294,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        data = load_config(args.config)
+        data, problems = read_config(args.config)
     except (OSError, ValueError) as err:
         return _fail_validation([str(err)])
-    problems = validate_config(data, require_backend=False)
+    problems += validate_config(data, require_backend=False)
     if problems:
         return _fail_validation(problems)
     analysis = build(AnalysisConfig, data["analysis"])

@@ -32,7 +32,9 @@ def build(cls, data: dict):
     The declared type of each field decides what its value may be: a
     field typed as a dataclass is a nested block, built from the matching
     sub-dict; an ``int`` field takes an integer and a ``float`` field any
-    number, and neither takes a bool.  Missing keys keep their defaults.
+    number, and neither takes a bool; a ``str`` field takes a string, and
+    a ``str | None`` field a string or null.  Missing keys keep their
+    defaults.
     Unknown keys, values of the wrong type and every violated field of
     every block are collected into one ConfigError; messages from a
     nested block are prefixed with its name.
@@ -55,6 +57,9 @@ def build(cls, data: dict):
             problems.append(f"{key}: must be an integer")
         elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
             problems.append(f"{key}: must be a number")
+        # the arguments of str | None are (str, NoneType); str has none
+        elif kind in (str, str | None) and not isinstance(value, typing.get_args(kind) or str):
+            problems.append(f"{key}: must be a string")
         else:
             kwargs[key] = value
     try:

@@ -24,7 +24,7 @@ import numpy as np
 from .config import raise_problems
 from .expressions import Expression
 from .kernels import compile_program, eval_program
-from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_de, run_ga
+from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_lockstep
 
 ALGORITHM_TAGS = ("GA", "DE")
 _TAG_CODES = {"GA": 1, "DE": 2}
@@ -124,12 +124,6 @@ def derive_trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-def _run_one(tag: str, objective, space, ga_config, de_config, seed: int) -> TrialOutcome:
-    if tag == "GA":
-        return run_ga(objective, space, ga_config, seed)
-    return run_de(objective, space, de_config, seed)
-
-
 def run_trials(
     expr: Expression,
     config: FitnessConfig,
@@ -137,13 +131,17 @@ def run_trials(
     ga_config: GaConfig,
     de_config: DeConfig,
 ) -> dict[str, list[TrialOutcome]]:
-    """All 2T seeded trials, keyed by algorithm tag, in trial order."""
+    """All 2T seeded trials, keyed by algorithm tag, in trial order; the
+    T trials of one algorithm run in lockstep."""
     program = compile_program(expr)
-    outcomes: dict[str, list[TrialOutcome]] = {}
-    for tag in (config.a1, config.a2):
-        seeds = [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)]
-        outcomes[tag] = [_run_one(tag, program, space, ga_config, de_config, s) for s in seeds]
-    return outcomes
+    configs = {"GA": ga_config, "DE": de_config}
+    return {
+        tag: run_lockstep(
+            program, space, configs[tag],
+            [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)],
+        )
+        for tag in (config.a1, config.a2)
+    }
 
 
 def evaluate_benchmark(

@@ -2,13 +2,16 @@
 
 These are the two algorithms whose performance gap defines benchmark
 fitness.  Both minimize over a box and share one trial loop,
-``_run_trial``: it draws a uniform initial population, then per
-generation asks the algorithm for a batch (its variation step), clips
-it to the box, evaluates it in one kernel call, and hands it to the
-algorithm's survivor rule.  The first batch holding an invalid point
-(domain error, NaN, or infinity) freezes the trial: it is reported
-invalid, the failing batch counts as evaluated, and the best-so-far
-trace stops at the last completed generation.
+``run_lockstep``, which runs the seeded trials of one algorithm side by
+side.  It draws a uniform initial population per trial, then per
+generation asks the algorithm for each running trial's batch (its
+variation step), clips the batches to the box, evaluates all of them in
+one kernel call, and hands each trial its slice for the algorithm's
+survivor rule.  The first batch holding an invalid point (domain error,
+NaN, or infinity) freezes its trial: it is reported invalid, the failing
+batch counts as evaluated, the best-so-far trace stops at the last
+completed generation, and the trial's rows leave later kernel calls.
+``run_ga`` and ``run_de`` are the one-seed case.
 
 GA: binary tournament selection, simulated binary crossover (SBX),
 per-variable polynomial mutation, (mu + lambda) survivor selection.
@@ -17,14 +20,17 @@ one-to-one replacement when the trial is no worse than its target.
 
 Variation works on the whole ``(n, d)`` population at once: the
 operators accept leading batch axes, so one generation is a few numpy
-calls with no Python loop over pairs or individuals.  Each trial still
-draws from its own ``Generator``; the trial axis is not batched.
+calls with no Python loop over pairs or individuals.  Each trial draws
+from its own ``Generator`` in the order a lone run of it would, and the
+kernel works point by point, so a trial's outcome does not depend on
+the trials run beside it.  Variation and survival still run once per
+trial; only the kernel call is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -216,59 +222,8 @@ def rand1_indices(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------- run loops
 
 
-def _run_trial(
-    objective: Expression | Program,
-    space: SearchSpace,
-    config: GaConfig | DeConfig,
-    seed: int,
-    vary: Callable[..., np.ndarray],
-    survive: Callable[..., tuple[np.ndarray, np.ndarray]],
-) -> TrialOutcome:
-    """The loop both algorithms share: evaluate a batch, freeze or survive.
-
-    Generation 0 evaluates a uniform population; each later generation
-    evaluates ``vary(pop, values, rng)`` clipped to the box.  Survivors
-    come from ``survive(pop, values, batch, batch_values)``.  The
-    initial batch meets a placeholder population of +inf values, which
-    every valid value beats.  The first batch with an invalid point
-    freezes the trial: that batch still counts in ``evaluations_used``,
-    and ``best_trace`` stops at the last completed generation.
-    """
-    program = compile_program(objective) if isinstance(objective, Expression) else objective
-    if program.dimension != space.dimension:
-        raise ValueError("objective dimension does not match the search space")
-    rng = np.random.default_rng(seed)
-    n, d = config.population, space.dimension
-    pop, values = np.empty((n, d)), np.full(n, np.inf)
-    trace: list[float] = []
-    for generation in range(config.generations + 1):
-        if generation == 0:
-            batch = rng.uniform(space.lower, space.upper, (n, d))
-        else:
-            batch = np.clip(vary(pop, values, rng), space.lower, space.upper)
-        batch_values, invalid = eval_program(program, batch)
-        valid = not invalid.any()
-        if not valid:
-            break
-        pop, values = survive(pop, values, batch, batch_values)
-        trace.append(float(values.min()))
-    best = int(np.argmin(values))
-    return TrialOutcome(
-        best_value=float(values[best]) if valid else float("nan"),
-        best_point=pop[best].copy() if valid else np.full(d, np.nan),
-        evaluations_used=n * (generation + 1),
-        valid=valid,
-        best_trace=tuple(trace),
-    )
-
-
-def run_ga(
-    objective: Expression | Program,
-    space: SearchSpace,
-    config: GaConfig = GaConfig(),
-    seed: int = 0,
-) -> TrialOutcome:
-    """One seeded GA trial; deterministic for identical inputs."""
+def _ga_rules(config: GaConfig, space: SearchSpace):
+    """The GA's variation step and (mu + lambda) survivor rule."""
     n_pairs = (config.population + 1) // 2
 
     def vary(pop, values, rng):
@@ -286,16 +241,11 @@ def run_ga(
         keep = np.argsort(pooled_values, kind="stable")[: config.population]
         return pooled[keep], pooled_values[keep]
 
-    return _run_trial(objective, space, config, seed, vary, survive)
+    return vary, survive
 
 
-def run_de(
-    objective: Expression | Program,
-    space: SearchSpace,
-    config: DeConfig = DeConfig(),
-    seed: int = 0,
-) -> TrialOutcome:
-    """One seeded DE trial; deterministic for identical inputs."""
+def _de_rules(config: DeConfig):
+    """DE's rand/1 binomial variation step and greedy replacement rule."""
     n = config.population
 
     def vary(pop, values, rng):
@@ -310,4 +260,82 @@ def run_de(
         values[better] = trial_values[better]
         return pop, values
 
-    return _run_trial(objective, space, config, seed, vary, survive)
+    return vary, survive
+
+
+def run_lockstep(
+    objective: Expression | Program,
+    space: SearchSpace,
+    config: GaConfig | DeConfig,
+    seeds: Sequence[int],
+) -> list[TrialOutcome]:
+    """Seeded trials of the algorithm ``config`` configures, in seed order.
+
+    Generation 0 evaluates a uniform population per trial; each later
+    generation evaluates ``vary(pop, values, rng)`` clipped to the box.
+    Survivors come from ``survive(pop, values, batch, batch_values)``.
+    The initial batch meets a placeholder population of +inf values,
+    which every valid value beats.  The batches of one generation go
+    through one kernel call, and the values and invalid mask are split
+    back per trial.  The first batch with an invalid point freezes its
+    trial: that batch still counts in ``evaluations_used``, the trial's
+    rows leave later calls, and ``best_trace`` stops at the last
+    completed generation.
+    """
+    program = compile_program(objective) if isinstance(objective, Expression) else objective
+    if program.dimension != space.dimension:
+        raise ValueError("objective dimension does not match the search space")
+    vary, survive = _ga_rules(config, space) if isinstance(config, GaConfig) else _de_rules(config)
+    n, d = config.population, space.dimension
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    pops = [np.empty((n, d)) for _ in seeds]
+    values = [np.full(n, np.inf) for _ in seeds]
+    traces: list[list[float]] = [[] for _ in seeds]
+    running = list(range(len(seeds)))
+    for generation in range(config.generations + 1):
+        if not running:
+            break
+        if generation == 0:
+            batch = np.concatenate([rngs[t].uniform(space.lower, space.upper, (n, d)) for t in running])
+        else:
+            varied = [vary(pops[t], values[t], rngs[t]) for t in running]
+            batch = np.clip(np.concatenate(varied), space.lower, space.upper)
+        batch_values, invalid = eval_program(program, batch)
+        failed = invalid.reshape(len(running), n).any(axis=1)
+        for k in np.flatnonzero(~failed):
+            t, rows = running[k], slice(k * n, (k + 1) * n)
+            pops[t], values[t] = survive(pops[t], values[t], batch[rows], batch_values[rows])
+            traces[t].append(float(values[t].min()))
+        running = [t for t, stop in zip(running, failed) if not stop]
+    outcomes = []
+    for t in range(len(seeds)):
+        valid = len(traces[t]) == config.generations + 1
+        best = int(np.argmin(values[t]))
+        outcomes.append(TrialOutcome(
+            best_value=float(values[t][best]) if valid else float("nan"),
+            best_point=pops[t][best].copy() if valid else np.full(d, np.nan),
+            evaluations_used=n * (len(traces[t]) + (not valid)),
+            valid=valid,
+            best_trace=tuple(traces[t]),
+        ))
+    return outcomes
+
+
+def run_ga(
+    objective: Expression | Program,
+    space: SearchSpace,
+    config: GaConfig = GaConfig(),
+    seed: int = 0,
+) -> TrialOutcome:
+    """One seeded GA trial; deterministic for identical inputs."""
+    return run_lockstep(objective, space, config, [seed])[0]
+
+
+def run_de(
+    objective: Expression | Program,
+    space: SearchSpace,
+    config: DeConfig = DeConfig(),
+    seed: int = 0,
+) -> TrialOutcome:
+    """One seeded DE trial; deterministic for identical inputs."""
+    return run_lockstep(objective, space, config, [seed])[0]

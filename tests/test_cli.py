@@ -148,6 +148,12 @@ WRONG_TYPE = {
     "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
     "bool-dimension": ("analyze", {"dimension": True}, ["dimension: must be an integer"]),
     "bool-float": ("analyze", {"crossover_rate": True}, ["crossover_rate: must be a number"]),
+    "number-transcript": (
+        "generate", {"backend": {"mode": "replay", "transcript": 3}}, ["backend.transcript: must be a string"],
+    ),
+    "list-transcript": (
+        "generate", {"backend": {"mode": "replay", "transcript": ["a"]}}, ["backend.transcript: must be a string"],
+    ),
     "all-at-once": (
         "generate",
         {"dimension": True, "fitness": {"trials": 2.5}, "ga": {"mutation_rate": False}},
@@ -172,6 +178,24 @@ def test_config_value_of_the_wrong_json_type_fails_cleanly(tmp_path, capsys, com
     assert err.startswith("config error:") and "Traceback" not in err
     for problem in problems:
         assert problem in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_one_load_lists_shape_and_field_problems_together(tmp_path, capsys, command):
+    # a block that is not an object, an unknown key and wrong field types
+    # in one file: every problem is printed, one per line
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dimension": True, "fitness": {"trials": 2.5}, "analysis": 3, "nope": 1}))
+    target = ["--expr", "x[0]*x[1]"] if command == "analyze" else ["--replay", SMOKE_TRANSCRIPT]
+    code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: analysis: must be an object",
+        "config error: unknown config keys: ['nope']",
+        "config error: dimension: must be an integer",
+        "config error: fitness.trials: must be an integer",
+    ]
     assert not (tmp_path / "out").exists()
 
 

@@ -180,6 +180,35 @@ def test_run_trials_match_single_seed_runs(text, monkeypatch):
         assert any(o.valid for o in outcomes["GA"]) and not all(o.valid for o in outcomes["GA"])
 
 
+def test_run_trials_share_one_kernel_call_per_generation(monkeypatch):
+    # the trials of one algorithm run in lockstep: a generation is one
+    # kernel call over the rows of the trials still running, and a frozen
+    # trial's rows leave every call after its failing batch
+    expr = parse("sqrt(x[0] + 0.99) + x[1]**2", 2)
+    config = FitnessConfig(trials=5, base_seed=2)
+    ga = GaConfig(population=20, generations=30)
+    de = DeConfig(population=8, generations=30)
+    rows = []
+    kernel = optimizers.eval_program
+
+    def counting(program, X):
+        rows.append(X.shape[0])
+        return kernel(program, X)
+
+    monkeypatch.setattr(optimizers, "eval_program", counting)
+    outcomes = run_trials(expr, config, SearchSpace(2), ga, de)
+    for tag, population in ((config.a1, ga.population), (config.a2, de.population)):
+        # batches per trial: its completed generations plus a failing one
+        batches = [o.evaluations_used // population for o in outcomes[tag]]
+        calls, rows = rows[: max(batches)], rows[max(batches):]
+        assert len(calls) == max(batches)  # the deepest generation reached + 1
+        assert all(r % population == 0 for r in calls)
+        assert calls == [population * sum(b > g for b in batches) for g in range(len(calls))]
+    assert rows == []
+    assert max(o.evaluations_used for o in outcomes["DE"]) < de.population * (de.generations + 1)
+    assert len({o.evaluations_used for o in outcomes["GA"]}) > 1  # one frozen, others full
+
+
 # ------------------------------------------------------------- prevalidate
 
 
