@@ -541,6 +541,35 @@ def test_lineage_corrupt_line_reports_position(smoke_run, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_torn_final_lineage_line_is_ignored(smoke_run, tmp_path):
+    # a crash during an append leaves a final line without its newline
+    whole, torn = tmp_path / "whole", tmp_path / "torn"
+    assert main(["lineage", "--run", str(smoke_run), "--out", str(whole)]) == 0
+    with open(smoke_run / "lineage.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"child_id": 99, "ki')
+    assert main(["lineage", "--run", str(smoke_run), "--out", str(torn)]) == 0
+    for name in ("distances.csv", "embedding.csv", "operator_stats.json", "lineage.dot"):
+        assert filecmp.cmp(whole / name, torn / name, shallow=False), name
+    assert main(["analyze", "--run", str(smoke_run), "--out", str(tmp_path / "analysis")]) == 0
+
+
+def test_bad_final_lineage_line_with_its_newline_reports_position(smoke_run, capsys):
+    with open(smoke_run / "lineage.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"child_id": 99, "ki\n')
+    capsys.readouterr()
+    assert main(["lineage", "--run", str(smoke_run)]) == 1
+    assert "lineage.jsonl:13: bad lineage record" in capsys.readouterr().err
+
+
+def test_lineage_holds_only_committed_generations(smoke_run):
+    path = smoke_run / "best.json"
+    summary = json.loads(path.read_text())
+    path.write_text(json.dumps({**summary, "generations_completed": 2}))
+    written = load_lineage(smoke_run / "lineage.jsonl")
+    assert {event.generation for event in written} == {0, 1, 2}
+    assert load_run(smoke_run).lineage == [event for event in written if event.generation < 2]
+
+
 @pytest.mark.parametrize("command", ["lineage", "analyze"])
 def test_run_directory_with_unknown_config_key(smoke_run, capsys, command):
     path = smoke_run / "config.json"
