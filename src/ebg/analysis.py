@@ -5,9 +5,8 @@ and total order indices from a Saltelli sampling scheme.  Local
 curvature: finite-difference gradient and Hessian summaries over a
 Latin hypercube, with the stencils of all sample points evaluated in
 one kernel call.  Lineage: Levenshtein distances between expression
-strings, a classical MDS embedding of those distances, operator usage
-counts along an individual's ancestry, and plot-ready fitness and
-convergence tables for a finished run.
+strings, a classical MDS embedding of those distances, and operator
+usage counts along an individual's ancestry.
 
 Everything is numpy, deterministic given a seed, and returns plain
 data; no figures are rendered.
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import raise_problems
-from .engine import ORIGIN_CROSSOVER, ORIGIN_MUTATION, Benchmark, LineageEvent, RunRecord
+from .engine import ORIGIN_CROSSOVER, ORIGIN_MUTATION, LineageEvent
 from .expressions import Expression, evaluate
-from .fitness import run_trials
 from .kernels import compile_program, eval_program
 from .optimizers import SearchSpace
 
@@ -343,77 +341,3 @@ def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
         crossover_ratio=crossover / operations if operations else 0.0,
         ratio_defined=operations > 0,
     )
-
-
-# ------------------------------------------------------- run trajectories
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    benchmark_id: int
-    expression: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float | None, ...], ...]
-
-
-@dataclass(frozen=True)
-class TrajectoryTables:
-    fitness_rows: tuple[tuple[int, float, float], ...]
-    traces: tuple[TraceTable, ...]
-
-
-def _distinct_benchmarks(record: RunRecord) -> list[Benchmark]:
-    seen: set[str] = set()
-    out = []
-    for population in record.populations:
-        for benchmark in population:
-            if benchmark.text in seen:
-                continue
-            seen.add(benchmark.text)
-            out.append(benchmark)
-    return out
-
-
-def trajectory_export(record: RunRecord) -> TrajectoryTables:
-    """Plot-ready tables: fitness by generation plus convergence traces.
-
-    The fitness table has one row per generation: (generation, best
-    fitness, median fitness).  Each distinct benchmark in the run gets
-    a trace table whose columns are the per-generation best objective
-    value of every inner-optimizer trial, recomputed under the run's
-    seeds so they match the values the run scored.
-    """
-    fitness_rows = tuple(
-        (g, float(min(b.fitness for b in pop)), float(np.median([b.fitness for b in pop])))
-        for g, pop in enumerate(record.populations)
-    )
-    config = record.config
-    tables = []
-    for benchmark in _distinct_benchmarks(record):
-        outcomes = run_trials(
-            benchmark.expression,
-            config.fitness,
-            SearchSpace(dimension=config.dimension),
-            config.ga,
-            config.de,
-        )
-        columns = []
-        traces = []
-        for tag in (config.fitness.a1, config.fitness.a2):
-            for t, outcome in enumerate(outcomes[tag]):
-                columns.append(f"{tag}_trial{t}")
-                traces.append(outcome.best_trace)
-        depth = max(len(trace) for trace in traces)
-        rows = tuple(
-            tuple(trace[g] if g < len(trace) else None for trace in traces)
-            for g in range(depth)
-        )
-        tables.append(
-            TraceTable(
-                benchmark_id=benchmark.id,
-                expression=benchmark.text,
-                columns=tuple(columns),
-                rows=rows,
-            )
-        )
-    return TrajectoryTables(fitness_rows=fitness_rows, traces=tuple(tables))

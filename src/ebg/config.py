@@ -37,7 +37,8 @@ def build(cls, data: dict):
     defaults.
     Unknown keys, values of the wrong type and every violated field of
     every block are collected into one ConfigError; messages from a
-    nested block are prefixed with its name.
+    nested block are prefixed with its name.  A field whose value was
+    rejected reports only that problem.
     """
     types = typing.get_type_hints(cls)  # a config dataclass annotates only its fields
     problems = []
@@ -65,6 +66,9 @@ def build(cls, data: dict):
     try:
         config = cls(**kwargs)
     except ConfigError as err:
-        problems = list(err.problems) + problems
+        # a rejected value left its field at the default, which the
+        # block's own check must not report as a second problem
+        rejected = {problem.split(":")[0] for problem in problems}
+        problems = [p for p in err.problems if p.split(":")[0] not in rejected] + problems
     raise_problems(problems)
     return config

@@ -533,7 +533,8 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
 
 
 def load_lineage(path: str | Path) -> list[LineageEvent]:
-    return read_jsonl(path, "lineage", event_from_record)
+    # the log is appended to, so a crash can leave its last line torn
+    return read_jsonl(path, "lineage", event_from_record, torn_tail=True)
 
 
 def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
@@ -543,10 +544,12 @@ def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
 def load_run(directory: str | Path) -> RunRecord:
     """Rehydrate a persisted run directory into a RunRecord.
 
-    The summary file is the commit point: exactly the snapshots of the
-    generations it reports are read, and a missing one is an error.  A
-    higher-numbered snapshot, whose summary write never landed, is not
-    part of the run and is ignored.
+    The summary file is the commit point for snapshots and lineage:
+    exactly the snapshots of the generations it reports are read, and a
+    missing one is an error; only the lineage events of those
+    generations are kept.  A higher-numbered snapshot or a later event,
+    whose summary write never landed, is not part of the run and is
+    ignored, and so is a torn final lineage line.
     """
     out = Path(directory)
     config = config_from_dict(json.loads((out / CONFIG_FILE).read_text(encoding="utf-8")))
@@ -558,7 +561,7 @@ def load_run(directory: str | Path) -> RunRecord:
         load_population(out / snapshot_filename(generation), config.dimension)
         for generation in range(completed)
     ]
-    lineage = load_lineage(out / LINEAGE_FILE)
+    lineage = [e for e in load_lineage(out / LINEAGE_FILE) if e.generation < completed]
     best = benchmark_from_record(summary["best"], config.dimension)
     return RunRecord(
         config=config,

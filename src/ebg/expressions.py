@@ -148,15 +148,6 @@ def walk(node: Node) -> Iterator[Node]:
             stack.append(cur.left)
 
 
-def free_variables(expr: Expression) -> set[int]:
-    """Indices of variables that actually occur in the tree."""
-    return {n.index for n in walk(expr.root) if isinstance(n, Variable)}
-
-
-def node_count(expr: Expression) -> int:
-    return sum(1 for _ in walk(expr.root))
-
-
 # ---------------------------------------------------------------- rendering
 
 # Surface precedence, Python semantics: ** binds tighter than unary minus

@@ -204,9 +204,15 @@ class TranscriptEntry:
     timestamp: str
 
 
-def read_jsonl(path: str | Path, what: str, decode: Callable[[dict], object]) -> list:
+def read_jsonl(
+    path: str | Path, what: str, decode: Callable[[dict], object], torn_tail: bool = False
+) -> list:
     """Decode every non-blank line of a JSONL file; a line that is not
-    a JSON record ``decode`` accepts raises ValueError naming ``path:line``."""
+    a JSON record ``decode`` accepts raises ValueError naming ``path:line``.
+
+    With ``torn_tail``, a final line that lacks its newline and does not
+    decode is an append that was cut short, and is skipped.
+    """
     items = []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -215,6 +221,8 @@ def read_jsonl(path: str | Path, what: str, decode: Callable[[dict], object]) ->
             try:
                 items.append(decode(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError) as err:
+                if torn_tail and not line.endswith("\n"):  # only the last line can lack it
+                    break
                 raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
     return items
 

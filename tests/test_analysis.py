@@ -15,17 +15,9 @@ from ebg.analysis import (
     operator_stats,
     pairwise_levenshtein,
     sobol_indices,
-    trajectory_export,
 )
-from ebg.engine import (
-    Benchmark,
-    EngineConfig,
-    LineageEvent,
-    RunRecord,
-    run,
-    seed_expression,
-)
-from ebg.expressions import evaluate, parse, render
+from ebg.engine import EngineConfig, LineageEvent, run
+from ebg.expressions import evaluate, parse
 from ebg.kernels import compile_program
 from ebg.fitness import FitnessConfig
 from ebg.optimizers import DeConfig, GaConfig
@@ -327,74 +319,3 @@ def test_operator_stats_tree_invariant_on_run():
     stats = operator_stats(record.lineage, record.best.id)
     assert 0.0 <= stats.crossover_ratio <= 1.0
     assert stats.individuals >= stats.operations + 1
-
-
-# ------------------------------------------------------------- trajectories
-
-
-def _tiny_run() -> RunRecord:
-    config = EngineConfig(
-        population_size=4,
-        max_generations=2,
-        dimension=3,
-        fitness=FitnessConfig(trials=2, prevalidation_samples=32),
-        ga=GaConfig(population=6, generations=4),
-        de=DeConfig(population=6, generations=4),
-    )
-    return run(config, FormulaBackend())
-
-
-def test_trajectory_export_structure():
-    record = _tiny_run()
-    tables = trajectory_export(record)
-    assert len(tables.fitness_rows) == 2
-    for generation, best, median in tables.fitness_rows:
-        assert best <= median
-    assert best == record.best_per_generation[-1]
-    distinct = {b.text for pop in record.populations for b in pop}
-    assert len(tables.traces) == len(distinct)
-    trials = record.config.fitness.trials
-    for table in tables.traces:
-        assert len(table.columns) == 2 * trials
-        assert {c.split("_")[0] for c in table.columns} == {"GA", "DE"}
-        assert len(table.rows) == 5  # initial best plus one row per inner generation
-        for column_index in range(2 * trials):
-            series = [row[column_index] for row in table.rows if row[column_index] is not None]
-            assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
-
-
-def test_trajectory_export_constant_objective_is_flat():
-    expr = parse("1", 2)
-    benchmark = Benchmark(
-        id=1,
-        expression=expr,
-        text=render(expr),
-        fitness=0.5,
-        rank_term=0.5,
-        penalty_term=0.0,
-        any_invalid=False,
-        origin="seed",
-        parent_ids=(),
-        generation_created=0,
-    )
-    config = EngineConfig(
-        population_size=2,
-        max_generations=1,
-        dimension=2,
-        fitness=FitnessConfig(trials=2, prevalidation_samples=16),
-        ga=GaConfig(population=6, generations=3),
-        de=DeConfig(population=6, generations=3),
-    )
-    record = RunRecord(
-        config=config,
-        populations=[[benchmark, benchmark]],
-        lineage=[_event(1, "seed")],
-        best_per_generation=[0.5],
-        best=benchmark,
-        evaluated_benchmarks=1,
-        inner_trials_total=4,
-    )
-    tables = trajectory_export(record)
-    (table,) = tables.traces
-    for row in table.rows:
-        assert all(value == 1.0 for value in row)

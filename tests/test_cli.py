@@ -137,22 +137,40 @@ def test_unknown_nested_config_key_is_validation_error(tmp_path, capsys, block, 
     assert f"{block}.{key}" in capsys.readouterr().err
 
 
-# (command, config file contents, problems that must each be printed)
+# (command, config file contents, every problem printed, in order)
 WRONG_TYPE = {
-    "file-not-object": ("analyze", [1, 2], ["must be an object"]),
+    "file-not-object": ("analyze", [1, 2], ["{path}: must be an object"]),
     "analysis-number": ("analyze", {"analysis": 3}, ["analysis: must be an object"]),
     "analysis-string": ("analyze", {"analysis": "ab"}, ["analysis: must be an object"]),
     "backend-analyze": ("analyze", {"backend": 3}, ["backend: must be an object"]),
-    "backend-generate": ("generate", {"backend": 3}, ["backend: must be an object"]),
+    # a block that is not an object keeps its defaults, and live mode needs an endpoint
+    "backend-generate": (
+        "generate", {"backend": 3},
+        ["backend: must be an object", "backend.endpoint_url: required in live and record modes"],
+    ),
     "float-trials": ("analyze", {"fitness": {"trials": 2.5}}, ["fitness.trials: must be an integer"]),
     "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
     "bool-dimension": ("analyze", {"dimension": True}, ["dimension: must be an integer"]),
     "bool-float": ("analyze", {"crossover_rate": True}, ["crossover_rate: must be a number"]),
+    # a rejected transcript is not also reported as missing
     "number-transcript": (
         "generate", {"backend": {"mode": "replay", "transcript": 3}}, ["backend.transcript: must be a string"],
     ),
     "list-transcript": (
         "generate", {"backend": {"mode": "replay", "transcript": ["a"]}}, ["backend.transcript: must be a string"],
+    ),
+    "bool-transcript": (
+        "generate", {"backend": {"mode": "replay", "transcript": True}}, ["backend.transcript: must be a string"],
+    ),
+    # the range problems of the block's other fields are still listed
+    "type-beside-range": (
+        "analyze",
+        {"ga": {"population": 1, "crossover_rate": "x", "mutation_rate": 2.0}},
+        [
+            "ga.population: must be >= 2",
+            "ga.mutation_rate: must lie in [0, 1]",
+            "ga.crossover_rate: must be a number",
+        ],
     ),
     "all-at-once": (
         "generate",
@@ -161,7 +179,7 @@ WRONG_TYPE = {
             "dimension: must be an integer",
             "fitness.trials: must be an integer",
             "ga.mutation_rate: must be a number",
-            "backend.endpoint_url: required",
+            "backend.endpoint_url: required in live and record modes",
         ],
     ),
 }
@@ -173,11 +191,10 @@ def test_config_value_of_the_wrong_json_type_fails_cleanly(tmp_path, capsys, com
     path.write_text(json.dumps(content))
     target = ["--expr", "x[0]*x[1]"] if command == "analyze" else []
     code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error:") and "Traceback" not in err
-    for problem in problems:
-        assert problem in err
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: " + problem.format(path=path) for problem in problems
+    ]
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,6 @@ from ebg.expressions import (
     Unary,
     Variable,
     evaluate,
-    free_variables,
     parse,
     render,
 )
@@ -177,14 +176,6 @@ def test_evaluate_totality_random():
             assert math.isfinite(res.value)
         else:
             assert res.value is None and isinstance(res.cause, str)
-
-
-# ----------------------------------------------------------- free variables
-
-
-def test_free_variables():
-    assert free_variables(parse("x[0]*x[2]", 3)) == {0, 2}
-    assert free_variables(parse("3", 3)) == set()
 
 
 # ------------------------------------------------------- showcase fixtures

@@ -234,6 +234,13 @@ def test_run_ga_without_variation_only_copies_parents():
 def test_run_ga_constant_objective():
     outcome = run_ga(parse("1", 2), SearchSpace(2), GaConfig(population=8, generations=3), seed=0)
     assert outcome.valid and outcome.best_value == 1.0
+    assert outcome.best_trace == (1.0,) * 4
+
+
+def test_run_de_constant_objective():
+    outcome = run_de(parse("1", 2), SearchSpace(2), DeConfig(population=8, generations=3), seed=0)
+    assert outcome.valid and outcome.best_value == 1.0
+    assert outcome.best_trace == (1.0,) * 4
 
 
 def test_run_ga_invalid_objective_aborts():
