@@ -234,15 +234,30 @@ def curvature_features(
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance, two-row dynamic program."""
+    """Unit-cost edit distance, two-row dynamic program.
+
+    Each cell is the cheapest of a deletion (``up + 1``), an insertion
+    (the cell to its left plus one) and a substitution or match
+    (``diagonal`` plus one on a mismatch), picked with two ``<``
+    comparisons on local ints: in CPython that costs about half of a
+    ``min()`` call over the three sums.
+    """
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        cell = i
+        for cb, up, diagonal in zip(b, previous[1:], previous):
+            cell += 1
+            up += 1
+            if up < cell:
+                cell = up
+            if ca != cb:
+                diagonal += 1
+            if diagonal < cell:
+                cell = diagonal
+            current.append(cell)
         previous = current
     return previous[-1]
 

@@ -3,12 +3,14 @@
 Every config block is a frozen dataclass: its field defaults are the
 only defaults and its ``__post_init__`` is the only range check.  A
 check collects every violated field of its block before it raises, so
-one pass over a config reports all of its problems.
+one pass over a config reports all of its problems.  A check that reads
+another field names that field in its message, after the colon.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 
 
@@ -38,7 +40,8 @@ def build(cls, data: dict):
     Unknown keys, values of the wrong type and every violated field of
     every block are collected into one ConfigError; messages from a
     nested block are prefixed with its name.  A field whose value was
-    rejected reports only that problem.
+    rejected reports only that problem: the block's check reports
+    nothing that names it, under its own name or as a field it reads.
     """
     types = typing.get_type_hints(cls)  # a config dataclass annotates only its fields
     problems = []
@@ -69,6 +72,6 @@ def build(cls, data: dict):
         # a rejected value left its field at the default, which the
         # block's own check must not report as a second problem
         rejected = {problem.split(":")[0] for problem in problems}
-        problems = [p for p in err.problems if p.split(":")[0] not in rejected] + problems
+        problems = [p for p in err.problems if rejected.isdisjoint(re.findall(r"\w+", p))] + problems
     raise_problems(problems)
     return config

@@ -266,7 +266,7 @@ class BackendConfig:
         if self.mode not in BACKEND_MODES:
             problems.append(f"mode: must be one of {', '.join(BACKEND_MODES)}")
         if self.mode in ("live", "record") and not self.endpoint_url:
-            problems.append("endpoint_url: required in live and record modes")
+            problems.append("endpoint_url: required when mode is live or record")
         if self.mode == "replay" and not self.transcript:
             problems.append("transcript: replay mode needs a transcript path")
         raise_problems(problems)

@@ -76,6 +76,25 @@ def levenshtein_bruteforce(a: str, b: str) -> int:
     )
 
 
+def levenshtein_table(a: str, b: str) -> int:
+    """Textbook Wagner-Fischer: the whole (m+1) x (n+1) table, no row
+    tricks; O(mn), for long strings."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + cost,
+            )
+    return table[len(a)][len(b)]
+
+
 # --------------------------------------------------------- backend doubles
 
 

@@ -21,7 +21,7 @@ from ebg.expressions import evaluate, parse
 from ebg.kernels import compile_program
 from ebg.fitness import FitnessConfig
 from ebg.optimizers import DeConfig, GaConfig
-from helpers import FormulaBackend, levenshtein_bruteforce
+from helpers import FormulaBackend, levenshtein_bruteforce, levenshtein_table, random_expression
 
 PINNED_SEED = 49
 
@@ -184,6 +184,34 @@ def test_levenshtein_matches_bruteforce_and_metric_axioms():
         assert dab == levenshtein_bruteforce(a, b)
         assert dab == levenshtein(b, a)
         assert dab <= levenshtein(a, c) + levenshtein(c, b)
+
+
+def _expression_texts(rng, count, shortest, longest):
+    texts = []
+    while len(texts) < count:
+        text = str(random_expression(rng, 5, 7))
+        if shortest <= len(text) <= longest:
+            texts.append(text)
+    return texts
+
+
+def test_levenshtein_matches_full_table_on_long_and_edge_strings():
+    texts = _expression_texts(np.random.default_rng(11), 200, 40, 200)
+    pairs = list(zip(texts[::2], texts[1::2]))
+    edges = ["", "x", "y", "é", "∑x", "x∑", texts[0], texts[0][::-1], texts[0][1:]]
+    pairs += [(a, b) for a in edges for b in edges]
+    for a, b in pairs:
+        assert levenshtein(a, b) == levenshtein_table(a, b) == levenshtein(b, a), (a, b)
+
+    sample = texts[:12] + edges
+    D = pairwise_levenshtein(sample)
+    assert D.dtype == np.float64
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diag(D) == 0)
+    for i, a in enumerate(sample):
+        for j, b in enumerate(sample):
+            if i != j:
+                assert D[i, j] == levenshtein(a, b)
 
 
 def test_pairwise_levenshtein_matrix():

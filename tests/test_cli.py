@@ -15,7 +15,7 @@ from ebg.cli import default_config, load_config, main, validate_config
 from ebg.engine import load_lineage, load_run
 from ebg.fitness import evaluate_benchmark
 from ebg.llm import TransportError
-from helpers import child_env
+from helpers import child_env, levenshtein_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_CONFIG = str(FIXTURES / "smoke_config.json")
@@ -146,7 +146,7 @@ WRONG_TYPE = {
     # a block that is not an object keeps its defaults, and live mode needs an endpoint
     "backend-generate": (
         "generate", {"backend": 3},
-        ["backend: must be an object", "backend.endpoint_url: required in live and record modes"],
+        ["backend: must be an object", "backend.endpoint_url: required when mode is live or record"],
     ),
     "float-trials": ("analyze", {"fitness": {"trials": 2.5}}, ["fitness.trials: must be an integer"]),
     "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
@@ -162,6 +162,12 @@ WRONG_TYPE = {
     "bool-transcript": (
         "generate", {"backend": {"mode": "replay", "transcript": True}}, ["backend.transcript: must be a string"],
     ),
+    # a rejected field is not also reported by a check that reads it
+    "number-mode": ("generate", {"backend": {"mode": 3}}, ["backend.mode: must be a string"]),
+    "number-mode-with-transcript": (
+        "generate", {"backend": {"mode": 3, "transcript": "x.jsonl"}}, ["backend.mode: must be a string"],
+    ),
+    "number-a1": ("evaluate", {"fitness": {"a1": 3, "a2": "GA"}}, ["fitness.a1: must be a string"]),
     # the range problems of the block's other fields are still listed
     "type-beside-range": (
         "analyze",
@@ -179,7 +185,7 @@ WRONG_TYPE = {
             "dimension: must be an integer",
             "fitness.trials: must be an integer",
             "ga.mutation_rate: must be a number",
-            "backend.endpoint_url: required in live and record modes",
+            "backend.endpoint_url: required when mode is live or record",
         ],
     ),
 }
@@ -189,7 +195,7 @@ WRONG_TYPE = {
 def test_config_value_of_the_wrong_json_type_fails_cleanly(tmp_path, capsys, command, content, problems):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(content))
-    target = ["--expr", "x[0]*x[1]"] if command == "analyze" else []
+    target = [] if command == "generate" else ["--expr", "x[0]*x[1]"]
     code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -545,6 +551,16 @@ def test_lineage_outputs_structure(smoke_run, capsys):
     assert stats["best_id"] == record.best.id
     assert 0.0 <= stats["crossover_ratio"] <= 1.0
     assert stats["individuals"] >= stats["operations"] + 1
+
+
+def test_lineage_distances_match_full_table(smoke_run):
+    assert main(["lineage", "--run", str(smoke_run)]) == 0
+    texts = {b.id: b.text for pop in load_run(smoke_run).populations for b in pop}
+    rows = (smoke_run / "distances.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == len(texts) * (len(texts) - 1) // 2
+    for row in rows:
+        a, b, distance = (int(field) for field in row.split(","))
+        assert distance == levenshtein_table(texts[a], texts[b])
 
 
 def test_lineage_corrupt_line_reports_position(smoke_run, capsys):
