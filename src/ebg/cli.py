@@ -5,7 +5,11 @@ level (EngineConfig), plus ``backend`` (BackendConfig: chat endpoint or
 transcript replay) and ``analysis`` (AnalysisConfig: sample counts and
 finite-difference steps) blocks.  Those frozen dataclasses hold every
 default and every range check; ``--print-default-config`` emits their
-defaults, and a key they do not know, at any level, is an error.
+defaults.  Each command builds every block once, with ``config.build``,
+from the file's object with the environment and flag overrides laid
+over it; a key the dataclasses do not know, at any level, is an error,
+and every problem of every block is listed together.  Only ``generate``
+also asks the backend block for a source of responses.
 
 Exit codes: 0 success, 1 for validation problems (every violated field
 is listed), 2 for runtime aborts such as replay misses, a failed chat
@@ -31,7 +35,7 @@ from .analysis import (
     pairwise_levenshtein,
     sobol_indices,
 )
-from .config import ConfigError, build, raise_problems
+from .config import ConfigError, build, build_block, raise_problems, read_object
 from .engine import (
     ORIGIN_CROSSOVER,
     ORIGIN_INIT,
@@ -39,7 +43,6 @@ from .engine import (
     EngineAbort,
     EngineConfig,
     RunRecord,
-    config_from_dict,
     load_run,
     run,
 )
@@ -59,111 +62,71 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-ENV_ENDPOINT = "EBG_API_URL"
-ENV_API_KEY = "EBG_API_KEY"
-ENV_MODEL = "EBG_MODEL"
+# environment variables laid over the backend block's fields
+ENV_BACKEND = {"EBG_API_URL": "endpoint_url", "EBG_API_KEY": "api_key", "EBG_MODEL": "model"}
 
 
 # ------------------------------------------------------------------ config
+
+# the blocks of a config file; the engine's fields sit at its top level
+BLOCKS = {"backend": BackendConfig, "analysis": AnalysisConfig}
 
 
 def default_config() -> dict:
     """The full config schema with every default filled in."""
     engine = dataclasses.asdict(EngineConfig())
     del engine["output_dir"]
-    # field defaults, not BackendConfig(): the default live mode has no endpoint yet
-    backend = {f.name: f.default for f in dataclasses.fields(BackendConfig)}
-    return {**engine, "backend": backend, "analysis": dataclasses.asdict(AnalysisConfig())}
-
-
-def _merge(base: dict, override: dict, unknown: list[str], problems: list[str], prefix: str = "") -> dict:
-    """``override`` over ``base``; keys ``base`` lacks go to ``unknown``,
-    and a block of ``base`` given anything but an object to ``problems``."""
-    out = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            unknown.append(prefix + key)
-        elif not isinstance(base[key], dict):
-            out[key] = value
-        elif isinstance(value, dict):
-            out[key] = _merge(base[key], value, unknown, problems, f"{prefix}{key}.")
-        else:
-            problems.append(f"{prefix}{key}: must be an object")
-    return out
-
-
-def read_config(path: str | None) -> tuple[dict, list[str]]:
-    """User config merged over defaults, and the problems of its shape.
-
-    A missing path means defaults.  A block given anything but an object
-    keeps its defaults and a key the schema does not know is dropped;
-    each is listed in the returned problems, to which a command adds
-    those of :func:`validate_config` so that one load reports them all.
-    A file that is not a JSON object raises ConfigError, a ValueError.
-    """
-    data = default_config()
-    if path is None:
-        return data, []
-    with open(path, encoding="utf-8") as handle:
-        user = json.load(handle)
-    if not isinstance(user, dict):
-        raise ConfigError([f"{path}: must be an object"])
-    unknown: list[str] = []
-    problems: list[str] = []
-    data = _merge(data, user, unknown, problems)
-    if unknown:
-        problems.append(f"unknown config keys: {unknown}")
-    return data, problems
+    return {**engine, **{name: dataclasses.asdict(cls()) for name, cls in BLOCKS.items()}}
 
 
 def load_config(path: str | None) -> dict:
-    """:func:`read_config`'s merged config; any problem of its shape
-    raises ConfigError listing every one."""
-    data, problems = read_config(path)
-    raise_problems(problems)
-    return data
+    """The object of a JSON config file; no path is an empty one, which
+    keeps every default.  Raises ValueError for a file that is not a
+    JSON object."""
+    return {} if path is None else read_object(path)
 
 
-def apply_env_overrides(data: dict, env: dict[str, str] | None = None) -> dict:
-    env = os.environ if env is None else env
-    backend = dict(data["backend"])
-    if env.get(ENV_ENDPOINT):
-        backend["endpoint_url"] = env[ENV_ENDPOINT]
-    if env.get(ENV_API_KEY):
-        backend["api_key"] = env[ENV_API_KEY]
-    if env.get(ENV_MODEL):
-        backend["model"] = env[ENV_MODEL]
-    return {**data, "backend": backend}
+def override(data: dict, block: str, values: dict) -> dict:
+    """``data`` with ``values`` laid over its ``block``; a block that is
+    not an object is left for :func:`build_configs` to report."""
+    current = data.get(block, {})
+    if not values or not isinstance(current, dict):
+        return data
+    return {**data, block: {**current, **values}}
 
 
-def _engine_block(data: dict, output_dir: str | None) -> dict:
-    names = [f.name for f in dataclasses.fields(EngineConfig) if f.name != "output_dir"]
-    return {**{name: data[name] for name in names}, "output_dir": output_dir}
+def build_configs(
+    data: dict, output_dir: str | None = None, generate: bool = False
+) -> tuple[EngineConfig, BackendConfig, AnalysisConfig]:
+    """The engine, backend and analysis configs of a config file's object.
 
-
-def validate_config(data: dict, require_backend: bool = True) -> list[str]:
-    """Every violated field, one message each; empty means valid.
-
-    Builds each block from its dataclass and prefixes the block's
-    messages with the block name.  Commands that never contact a backend
-    (evaluate, analyze) skip the backend block so a bare default config
-    works offline.
+    Each block is built once by ``config.build``, and every problem of
+    every block is raised in one ConfigError, prefixed with the block's
+    name.  ``output_dir`` is no key of the file, because ``--out`` sets
+    it.  With ``generate``, a backend block that built must also name a
+    source of responses.
     """
-    blocks = [(EngineConfig, "", _engine_block(data, None))]
-    if require_backend:
-        blocks.append((BackendConfig, "backend.", data["backend"]))
-    blocks.append((AnalysisConfig, "analysis.", data["analysis"]))
-    problems: list[str] = []
-    for cls, prefix, block in blocks:
+    problems = ["output_dir: unknown key"] if "output_dir" in data else []
+
+    def collect(make, *args):
         try:
-            build(cls, block)
+            return make(*args)
         except ConfigError as err:
-            problems += [prefix + problem for problem in err.problems]
-    return problems
+            problems.extend(err.problems)
+            return None
+
+    engine = {key: value for key, value in data.items() if key not in BLOCKS}
+    config = collect(build, EngineConfig, {**engine, "output_dir": output_dir})
+    backend = collect(build_block, "backend", BackendConfig, data.get("backend", {}))
+    analysis = collect(build_block, "analysis", AnalysisConfig, data.get("analysis", {}))
+    if generate and backend is not None:
+        problems += [f"backend.{problem}" for problem in backend.source_problems()]
+    raise_problems(problems)
+    return config, backend, analysis
 
 
 def engine_config_from(data: dict, output_dir: str | None) -> EngineConfig:
-    return config_from_dict(_engine_block(data, output_dir))
+    return build_configs(data, output_dir)[0]
 
 
 def build_backend(config: BackendConfig, out_dir: Path):
@@ -178,8 +141,8 @@ def build_backend(config: BackendConfig, out_dir: Path):
 # ------------------------------------------------------------ subcommands
 
 
-def _fail_validation(problems: list[str]) -> int:
-    for problem in problems:
+def _fail_validation(err: Exception) -> int:
+    for problem in err.problems if isinstance(err, ConfigError) else [str(err)]:
         print(f"config error: {problem}", file=sys.stderr)
     return EXIT_VALIDATION
 
@@ -208,25 +171,22 @@ def _fail_output(problem: str) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        data, problems = read_config(args.config)
-    except (OSError, ValueError) as err:
-        return _fail_validation([str(err)])
-    data = apply_env_overrides(data)
-    if args.replay is not None:
-        data["backend"] = {**data["backend"], "mode": "replay", "transcript": args.replay}
-    if args.seed is not None:
-        data["seed"] = args.seed
-    problems += validate_config(data)
-    if problems:
-        return _fail_validation(problems)
     out_dir = Path(args.out)
+    try:
+        env = {field: os.environ[name] for name, field in ENV_BACKEND.items() if os.environ.get(name)}
+        data = override(load_config(args.config), "backend", env)
+        if args.replay is not None:
+            data = override(data, "backend", {"mode": "replay", "transcript": args.replay})
+        if args.seed is not None:
+            data = {**data, "seed": args.seed}
+        config, backend_config, _ = build_configs(data, str(out_dir), generate=True)
+    except (OSError, ValueError) as err:
+        return _fail_validation(err)
     problem = _output_problem(out_dir, directory=True)
     if problem:
         return _fail_output(problem)
-    config = engine_config_from(data, str(out_dir))
     try:
-        backend = build_backend(build(BackendConfig, data["backend"]), out_dir)
+        backend = build_backend(backend_config, out_dir)
     except (OSError, ValueError, KeyError) as err:
         print(f"cannot read transcript: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -244,19 +204,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        data, problems = read_config(args.config)
+        data = load_config(args.config)
+        if args.seed is not None:
+            data = override(data, "fitness", {"base_seed": args.seed})
+        config, _, _ = build_configs(data)
     except (OSError, ValueError) as err:
-        return _fail_validation([str(err)])
-    if args.seed is not None:
-        data["fitness"] = {**data["fitness"], "base_seed": args.seed}
-    problems += validate_config(data, require_backend=False)
-    if problems:
-        return _fail_validation(problems)
+        return _fail_validation(err)
     out = Path(args.out)
     problem = _output_problem(out, directory=False)
     if problem:
         return _fail_output(problem)
-    config = engine_config_from(data, None)
     try:
         # read once: the report names the text that was scored
         text = args.expr if args.expr is not None else Path(args.file).read_text(encoding="utf-8").strip()
@@ -294,13 +251,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        data, problems = read_config(args.config)
+        config, _, analysis = build_configs(load_config(args.config))
     except (OSError, ValueError) as err:
-        return _fail_validation([str(err)])
-    problems += validate_config(data, require_backend=False)
-    if problems:
-        return _fail_validation(problems)
-    analysis = build(AnalysisConfig, data["analysis"])
+        return _fail_validation(err)
     out_dir = Path(args.out)
     problem = _output_problem(out_dir, directory=True)
     if problem:
@@ -315,7 +268,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         text = record.best.text
     else:
         try:
-            expr = parse(args.expr, data["dimension"])
+            expr = parse(args.expr, config.dimension)
         except (ParseError, SymbolError, DimensionError) as err:
             print(f"bad expression: {err}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -5,11 +5,13 @@ only defaults and its ``__post_init__`` is the only range check.  A
 check collects every violated field of its block before it raises, so
 one pass over a config reports all of its problems.  A check that reads
 another field names that field in its message, after the colon.
+:func:`build` is the only code that walks a config's plain data.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import typing
 
@@ -26,6 +28,19 @@ def raise_problems(problems: list[str]) -> None:
     """Raise one ConfigError carrying every collected problem, if any."""
     if problems:
         raise ConfigError(problems)
+
+
+def read_object(path) -> dict:
+    """The JSON object in the file at ``path``.
+
+    Any other JSON value raises ConfigError; a file that is not JSON
+    raises json.JSONDecodeError.  Both are ValueErrors.
+    """
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ConfigError([f"{path}: must be an object"])
+    return data
 
 
 def build(cls, data: dict):
@@ -50,13 +65,11 @@ def build(cls, data: dict):
         kind = types.get(key)
         if kind is None:
             problems.append(f"{key}: unknown key")
-        elif dataclasses.is_dataclass(kind) and not isinstance(value, dict):
-            problems.append(f"{key}: must be an object")
         elif dataclasses.is_dataclass(kind):
             try:
-                kwargs[key] = build(kind, value)
+                kwargs[key] = build_block(key, kind, value)
             except ConfigError as err:
-                problems += [f"{key}.{problem}" for problem in err.problems]
+                problems += err.problems
         elif kind is int and isinstance(value, (bool, float)):
             problems.append(f"{key}: must be an integer")
         elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
@@ -75,3 +88,14 @@ def build(cls, data: dict):
         problems = [p for p in err.problems if rejected.isdisjoint(re.findall(r"\w+", p))] + problems
     raise_problems(problems)
     return config
+
+
+def build_block(name: str, cls, value):
+    """:func:`build` for the block ``name``, whose problems it prefixes
+    with that name; a value that is not an object is its only problem."""
+    if not isinstance(value, dict):
+        raise ConfigError([f"{name}: must be an object"])
+    try:
+        return build(cls, value)
+    except ConfigError as err:
+        raise ConfigError([f"{name}.{problem}" for problem in err.problems]) from None

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import build, raise_problems
+from .config import build, raise_problems, read_object
 from .expressions import Binary, Constant, Expression, Variable, parse, render
 from .fitness import BenchmarkEvaluation, FitnessConfig, evaluate_benchmark, prevalidate
 from .llm import (
@@ -397,19 +397,6 @@ def event_from_record(record: dict) -> LineageEvent:
     return LineageEvent(**values)
 
 
-def config_to_dict(config: EngineConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def config_from_dict(data: dict) -> EngineConfig:
-    """Inverse of config_to_dict; missing keys keep their defaults.
-
-    Raises ConfigError, a ValueError, naming every unknown key and every
-    violated field.
-    """
-    return build(EngineConfig, data)
-
-
 def snapshot_filename(generation: int) -> str:
     return f"population.gen{generation}.jsonl"
 
@@ -445,7 +432,7 @@ class _Persister:
     def config(self, config: EngineConfig) -> None:
         if self.out is None:
             return
-        text = json.dumps(config_to_dict(config), indent=2)
+        text = json.dumps(dataclasses.asdict(config), indent=2)
         _write_atomic(self.out / CONFIG_FILE, text + "\n")
 
     def event(self, event: LineageEvent) -> None:
@@ -552,10 +539,10 @@ def load_run(directory: str | Path) -> RunRecord:
     ignored, and so is a torn final lineage line.
     """
     out = Path(directory)
-    config = config_from_dict(json.loads((out / CONFIG_FILE).read_text(encoding="utf-8")))
-    summary = json.loads((out / BEST_FILE).read_text(encoding="utf-8"))
+    config = build(EngineConfig, read_object(out / CONFIG_FILE))
+    summary = read_object(out / BEST_FILE)
     completed = summary["generations_completed"]
-    if not isinstance(completed, int) or completed < 1:
+    if isinstance(completed, bool) or not isinstance(completed, int) or completed < 1:
         raise ValueError(f"{out / BEST_FILE} reports {completed!r} completed generations")
     populations = [
         load_population(out / snapshot_filename(generation), config.dimension)

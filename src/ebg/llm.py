@@ -220,7 +220,7 @@ def read_jsonl(
                 continue
             try:
                 items.append(decode(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
+            except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
                 if torn_tail and not line.endswith("\n"):  # only the last line can lack it
                     break
                 raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
@@ -251,6 +251,8 @@ class BackendConfig:
     ``live`` calls the endpoint, ``record`` calls it and writes every
     exchange to a fresh ``transcript.jsonl`` in the run directory, and
     ``replay`` serves the responses of a recorded ``transcript``.
+    The defaults are a valid config that names no source yet; only a
+    command that asks for responses checks :meth:`source_problems`.
     """
 
     mode: str = "live"
@@ -262,14 +264,16 @@ class BackendConfig:
     transcript: str | None = None
 
     def __post_init__(self) -> None:
-        problems = []
         if self.mode not in BACKEND_MODES:
-            problems.append(f"mode: must be one of {', '.join(BACKEND_MODES)}")
+            raise_problems([f"mode: must be one of {', '.join(BACKEND_MODES)}"])
+
+    def source_problems(self) -> list[str]:
+        """Why this config cannot serve responses, one ``field: message`` each."""
         if self.mode in ("live", "record") and not self.endpoint_url:
-            problems.append("endpoint_url: required when mode is live or record")
+            return ["endpoint_url: required when mode is live or record"]
         if self.mode == "replay" and not self.transcript:
-            problems.append("transcript: replay mode needs a transcript path")
-        raise_problems(problems)
+            return ["transcript: replay mode needs a transcript path"]
+        return []
 
 
 class LiveBackend:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from ebg import cli
-from ebg.cli import default_config, load_config, main, validate_config
+from ebg.cli import build_configs, default_config, load_config, main
+from ebg.config import ConfigError
 from ebg.engine import load_lineage, load_run
 from ebg.fitness import evaluate_benchmark
 from ebg.llm import TransportError
@@ -91,12 +92,14 @@ def test_import_cli_leaves_requests_out():
     assert result.stdout.strip() == "False"
 
 
-def test_validate_config_lists_every_violated_field():
+def test_build_configs_lists_every_violated_field():
     data = default_config()
     data["population_size"] = 1
     data["crossover_rate"] = 2.0
     data["analysis"]["sobol_base_samples"] = 0
-    problems = validate_config(data)
+    with pytest.raises(ConfigError) as caught:
+        build_configs(data, generate=True)
+    problems = caught.value.problems
     joined = "\n".join(problems)
     assert "population_size" in joined
     assert "crossover_rate" in joined
@@ -111,7 +114,7 @@ def test_printed_default_config_loads_back_valid(tmp_path, capsys):
     data["backend"].update(mode="replay", transcript=SMOKE_TRANSCRIPT)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    assert validate_config(load_config(str(path))) == []
+    build_configs(load_config(str(path)), generate=True)
 
 
 def test_no_command_prints_help(capsys):
@@ -123,7 +126,10 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     path.write_text(json.dumps({"not_a_key": 1}))
     code = main(["generate", "--config", str(path), "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: not_a_key: unknown key",
+        "config error: backend.endpoint_url: required when mode is live or record",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -143,10 +149,12 @@ WRONG_TYPE = {
     "analysis-number": ("analyze", {"analysis": 3}, ["analysis: must be an object"]),
     "analysis-string": ("analyze", {"analysis": "ab"}, ["analysis: must be an object"]),
     "backend-analyze": ("analyze", {"backend": 3}, ["backend: must be an object"]),
-    # a block that is not an object keeps its defaults, and live mode needs an endpoint
-    "backend-generate": (
-        "generate", {"backend": 3},
-        ["backend: must be an object", "backend.endpoint_url: required when mode is live or record"],
+    # a block that is not an object is not also checked for a response source
+    "backend-generate": ("generate", {"backend": 3}, ["backend: must be an object"]),
+    # --out sets it
+    "output-dir": (
+        "generate", {"output_dir": "x", "backend": {"mode": "replay", "transcript": "t.jsonl"}},
+        ["output_dir: unknown key"],
     ),
     "float-trials": ("analyze", {"fitness": {"trials": 2.5}}, ["fitness.trials: must be an integer"]),
     "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
@@ -162,6 +170,8 @@ WRONG_TYPE = {
     "bool-transcript": (
         "generate", {"backend": {"mode": "replay", "transcript": True}}, ["backend.transcript: must be a string"],
     ),
+    # commands that never ask for responses still check the backend block's types
+    "number-transcript-analyze": ("analyze", {"backend": {"transcript": 3}}, ["backend.transcript: must be a string"]),
     # a rejected field is not also reported by a check that reads it
     "number-mode": ("generate", {"backend": {"mode": 3}}, ["backend.mode: must be a string"]),
     "number-mode-with-transcript": (
@@ -214,10 +224,10 @@ def test_one_load_lists_shape_and_field_problems_together(tmp_path, capsys, comm
     code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        "config error: analysis: must be an object",
-        "config error: unknown config keys: ['nope']",
         "config error: dimension: must be an integer",
         "config error: fitness.trials: must be an integer",
+        "config error: nope: unknown key",
+        "config error: analysis: must be an object",
     ]
     assert not (tmp_path / "out").exists()
 
@@ -315,6 +325,37 @@ def test_generate_transport_failure_is_runtime_abort(tmp_path, capsys, monkeypat
     assert code == 2
     assert "run aborted: chat endpoint failed" in capsys.readouterr().err
     assert not (out / "best.json").exists()
+
+
+def test_environment_overrides_the_backend_block(tmp_path, monkeypatch):
+    seen = []
+
+    class DeadEndpoint:
+        name = "dead"
+
+        def complete(self, prompt: str) -> str:
+            raise TransportError("refused")
+
+    def capture(config, out_dir):
+        seen.append(config)
+        return DeadEndpoint()
+
+    monkeypatch.setattr(cli, "build_backend", capture)
+    monkeypatch.setenv("EBG_API_URL", "http://127.0.0.1:9/chat")
+    monkeypatch.setenv("EBG_MODEL", "env-model")
+    monkeypatch.delenv("EBG_API_KEY", raising=False)
+    path = _write_config(tmp_path, backend={"model": "file-model", "temperature": 0.5})
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    [config] = seen
+    assert (config.endpoint_url, config.model, config.temperature) == ("http://127.0.0.1:9/chat", "env-model", 0.5)
+
+
+def test_environment_leaves_a_backend_that_is_not_an_object(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EBG_API_URL", "http://127.0.0.1:9/chat")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"backend": 3}))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: backend: must be an object"]
 
 
 def test_generate_missing_transcript_fails_before_creating_run_dir(tmp_path, capsys):
@@ -574,6 +615,17 @@ def test_lineage_corrupt_line_reports_position(smoke_run, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["x[0] +* 2", "x[9]**2"])
+def test_snapshot_expression_that_does_not_parse_reports_position(smoke_run, capsys, text):
+    path = smoke_run / "population.gen1.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "expression": text})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["lineage", "--run", str(smoke_run)]) == 1
+    assert "population.gen1.jsonl:3: bad benchmark record" in capsys.readouterr().err
+
+
 def test_torn_final_lineage_line_is_ignored(smoke_run, tmp_path):
     # a crash during an append leaves a final line without its newline
     whole, torn = tmp_path / "whole", tmp_path / "torn"
@@ -628,7 +680,7 @@ def test_run_directory_with_stale_snapshots(smoke_run, command):
 
 @pytest.mark.parametrize(
     "completed, cause",
-    [(4, "population.gen3.jsonl"), (0, "0 completed"), ("2", "'2' completed")],
+    [(4, "population.gen3.jsonl"), (0, "0 completed"), ("2", "'2' completed"), (True, "True completed")],
 )
 @pytest.mark.parametrize("command", ["lineage", "analyze"])
 def test_run_directory_missing_committed_snapshot(smoke_run, capsys, command, completed, cause):
@@ -640,6 +692,19 @@ def test_run_directory_missing_committed_snapshot(smoke_run, capsys, command, co
     assert code == 1
     err = capsys.readouterr().err
     assert "cannot load run" in err and cause in err
+
+
+@pytest.mark.parametrize("name", ["config.json", "best.json"])
+@pytest.mark.parametrize("command", ["lineage", "analyze"])
+def test_run_directory_file_that_is_not_an_object(smoke_run, capsys, command, name):
+    path = smoke_run / name
+    path.write_text("[1]\n")
+    capsys.readouterr()
+    code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"cannot load run: {path}: must be an object"]
 
 
 def test_lineage_missing_run_directory(tmp_path, capsys):

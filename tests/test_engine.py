@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -7,15 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebg.config import ConfigError
+from ebg.config import ConfigError, build
 from ebg.engine import (
     Benchmark,
     EngineAbort,
     EngineConfig,
     EngineState,
     LineageEvent,
-    config_from_dict,
-    config_to_dict,
     initialize_population,
     load_run,
     run,
@@ -130,9 +129,10 @@ def test_engine_config_validation():
         tiny_config(dimension=0)
 
 
-def test_config_from_dict_lists_every_problem():
+def test_build_engine_config_lists_every_problem():
     with pytest.raises(ConfigError) as caught:
-        config_from_dict(
+        build(
+            EngineConfig,
             {
                 "population_size": 1,
                 "dimension": 0,
@@ -140,7 +140,7 @@ def test_config_from_dict_lists_every_problem():
                 "fitness": {"trials": 0, "alpha": -1.0},
                 "ga": {"population": "8"},
                 "de": 3,
-            }
+            },
         )
     assert sorted(caught.value.problems) == [
         "de: must be an object",
@@ -155,7 +155,7 @@ def test_config_from_dict_lists_every_problem():
 
 def test_config_dict_round_trip(tmp_path):
     config = tiny_config(seed=7, output_dir=str(tmp_path))
-    assert config_from_dict(config_to_dict(config)) == config
+    assert build(EngineConfig, dataclasses.asdict(config)) == config
 
 
 # ---------------------------------------------------------- initialization
