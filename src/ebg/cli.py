@@ -261,7 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.run is not None:
         try:
             record = load_run(args.run)
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError) as err:
             print(f"cannot load run: {err}", file=sys.stderr)
             return EXIT_VALIDATION
         expr = record.best.expression
@@ -364,7 +364,7 @@ def cmd_lineage(args: argparse.Namespace) -> int:
         return _fail_output(problem)
     try:
         record = load_run(args.run)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError) as err:
         print(f"cannot load run: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     out_dir.mkdir(parents=True, exist_ok=True)

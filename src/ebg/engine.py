@@ -17,6 +17,10 @@ population file per generation, a lineage event log, and a best-so-far
 summary.  Opening a directory clears what an earlier run wrote there,
 except a transcript.  Given the same config, seed, and a recorded
 transcript, a run reproduces byte-identically.
+
+One ``RunRecord`` holds a run, whether ``run`` builds it or
+``load_run`` reads it back; its best member is derived from its
+population snapshots, never stored beside them.
 """
 
 from __future__ import annotations
@@ -126,34 +130,34 @@ class LineageEvent:
 
 @dataclass
 class RunRecord:
-    config: EngineConfig
-    populations: list[list[Benchmark]]
-    lineage: list[LineageEvent]
-    best_per_generation: list[float]
-    best: Benchmark
-    evaluated_benchmarks: int
-    inner_trials_total: int
-    aborted: bool = False
-    output_dir: str | None = None
+    """One run: what ``run`` builds as it goes and ``load_run`` returns.
 
-
-class EngineState:
-    """Mutable bookkeeping shared by initialization and generation steps.
-
-    Tracks the id counter, the per-text evaluation cache, the lineage
-    log, the failed-attempt budget, and evaluation counts.  ``observer``
-    is called with each new lineage event so a run can persist the log
+    ``populations`` holds one snapshot per completed generation; the best
+    member and the per-generation best fitness are read from them.  The
+    id counter, the per-text evaluation cache and the failed-attempt
+    budget are the live engine's bookkeeping; a loaded run keeps their
+    defaults, because no run file holds them yet.  ``observer`` is
+    called with each new lineage event so a run can persist the log
     incrementally.
     """
 
-    def __init__(self, observer: Callable[[LineageEvent], None] | None = None):
-        self.next_id = 1
-        self.cache: dict[str, BenchmarkEvaluation] = {}
-        self.lineage: list[LineageEvent] = []
-        self.failed_attempts = 0
-        self.evaluated_benchmarks = 0
-        self.inner_trials_total = 0
-        self.observer = observer
+    config: EngineConfig
+    populations: list[list[Benchmark]] = field(default_factory=list)
+    lineage: list[LineageEvent] = field(default_factory=list)
+    evaluated_benchmarks: int = 0
+    inner_trials_total: int = 0
+    next_id: int = 1
+    failed_attempts: int = 0
+    cache: dict[str, BenchmarkEvaluation] = field(default_factory=dict, compare=False, repr=False)
+    observer: Callable[[LineageEvent], None] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def best(self) -> Benchmark:
+        return _best_of(self.populations[-1])
+
+    @property
+    def best_per_generation(self) -> list[float]:
+        return [_best_of(population).fitness for population in self.populations]
 
     def take_id(self) -> int:
         out = self.next_id
@@ -164,6 +168,10 @@ class EngineState:
         self.lineage.append(event)
         if self.observer is not None:
             self.observer(event)
+
+
+def _best_of(population: list[Benchmark]) -> Benchmark:
+    return min(population, key=lambda b: (b.fitness, b.id))
 
 
 # -------------------------------------------------------------- operations
@@ -195,20 +203,20 @@ def _validator(config: EngineConfig) -> Callable[[Expression], bool]:
     return lambda expr: prevalidate(expr, space, samples, seed)
 
 
-def _evaluate(state: EngineState, config: EngineConfig, expr: Expression, text: str) -> BenchmarkEvaluation:
-    cached = state.cache.get(text)
+def _evaluate(record: RunRecord, expr: Expression, text: str) -> BenchmarkEvaluation:
+    cached = record.cache.get(text)
     if cached is not None:
         return cached
+    config = record.config
     evaluation = evaluate_benchmark(expr, config.fitness, _space(config), config.ga, config.de)
-    state.cache[text] = evaluation
-    state.evaluated_benchmarks += 1
-    state.inner_trials_total += len(evaluation.a1_best) + len(evaluation.a2_best)
+    record.cache[text] = evaluation
+    record.evaluated_benchmarks += 1
+    record.inner_trials_total += len(evaluation.a1_best) + len(evaluation.a2_best)
     return evaluation
 
 
 def _admit(
-    state: EngineState,
-    config: EngineConfig,
+    record: RunRecord,
     expr: Expression,
     origin: str,
     parents: list[Benchmark],
@@ -219,9 +227,9 @@ def _admit(
     """Evaluate ``expr``, give it the next id, and log its creation."""
     parent_ids = tuple(parent.id for parent in parents)
     text = render(expr)
-    evaluation = _evaluate(state, config, expr, text)
+    evaluation = _evaluate(record, expr, text)
     benchmark = Benchmark(
-        id=state.take_id(),
+        id=record.take_id(),
         expression=expr,
         text=text,
         fitness=evaluation.fitness,
@@ -232,7 +240,7 @@ def _admit(
         parent_ids=parent_ids,
         generation_created=generation,
     )
-    state.record(
+    record.record(
         LineageEvent(
             child_id=benchmark.id,
             kind=origin,
@@ -249,8 +257,7 @@ _PROMPT_KINDS = {ORIGIN_INIT: "init", ORIGIN_CROSSOVER: "crossover", ORIGIN_MUTA
 
 
 def _breed(
-    state: EngineState,
-    config: EngineConfig,
+    record: RunRecord,
     client: ChatBackend,
     validator: Callable[[Expression], bool],
     origin: str,
@@ -262,6 +269,7 @@ def _breed(
     Returns None when the offspring's attempts run out; they are charged
     against the run-wide budget, which raises EngineAbort when spent.
     """
+    config = record.config
     spec = PromptSpec(
         kind=_PROMPT_KINDS[origin],
         dimension=config.dimension,
@@ -272,16 +280,15 @@ def _breed(
     try:
         result = generate_offspring(spec, client, config.retry, validator)
     except AttemptsExhausted as err:
-        state.failed_attempts += err.attempts
-        if state.failed_attempts >= config.retry.global_failure_cap:
+        record.failed_attempts += err.attempts
+        if record.failed_attempts >= config.retry.global_failure_cap:
             raise EngineAbort(
-                f"aborting run: {state.failed_attempts} failed generation attempts "
+                f"aborting run: {record.failed_attempts} failed generation attempts "
                 f"(cap {config.retry.global_failure_cap}); last cause: {err.last_cause}"
             ) from err
         return None
     return _admit(
-        state,
-        config,
+        record,
         result.expression,
         origin,
         parents,
@@ -291,11 +298,7 @@ def _breed(
     )
 
 
-def initialize_population(
-    config: EngineConfig,
-    client: ChatBackend,
-    state: EngineState,
-) -> list[Benchmark]:
+def initialize_population(record: RunRecord, client: ChatBackend) -> list[Benchmark]:
     """Seed member plus N-1 conditioned members, all evaluated.
 
     Member 1 is the fixed seed polynomial.  Each later member is
@@ -303,10 +306,11 @@ def initialize_population(
     previously accepted member, so the context grows as the population
     fills.
     """
+    config = record.config
     validator = _validator(config)
-    population = [_admit(state, config, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
+    population = [_admit(record, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
     while len(population) < config.population_size:
-        child = _breed(state, config, client, validator, ORIGIN_INIT, population, 0)
+        child = _breed(record, client, validator, ORIGIN_INIT, population, 0)
         if child is not None:
             population.append(child)
     return population
@@ -321,16 +325,15 @@ def select_survivors(union: list[Benchmark], n: int) -> list[Benchmark]:
 
 
 def step_generation(
+    record: RunRecord,
     population: list[Benchmark],
-    config: EngineConfig,
     client: ChatBackend,
     rng: np.random.Generator,
     generation: int,
-    state: EngineState,
-) -> tuple[list[Benchmark], list[LineageEvent]]:
+) -> list[Benchmark]:
     """One generation: N offspring, then elitist selection from P union Q."""
+    config = record.config
     validator = _validator(config)
-    before = len(state.lineage)
     offspring: list[Benchmark] = []
     while len(offspring) < config.population_size:
         # rng.random() is drawn before the size check, whatever its outcome
@@ -341,11 +344,10 @@ def step_generation(
         else:
             parents = [population[int(rng.integers(len(population)))]]
             origin = ORIGIN_MUTATION
-        child = _breed(state, config, client, validator, origin, parents, generation)
+        child = _breed(record, client, validator, origin, parents, generation)
         if child is not None:
             offspring.append(child)
-    survivors = select_survivors(population + offspring, config.population_size)
-    return survivors, state.lineage[before:]
+    return select_survivors(population + offspring, config.population_size)
 
 
 # ------------------------------------------------------------- persistence
@@ -426,7 +428,10 @@ class _Persister:
             # may read, and loses everything an earlier run wrote,
             # half-written temporaries included
             stale = [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]
-            for path in stale + list(out.glob("*.tmp")):
+            # only the temporaries that _write_atomic makes; other *.tmp
+            # files are not the run's
+            stale += [out / f"{CONFIG_FILE}.tmp", out / f"{BEST_FILE}.tmp"]
+            for path in stale + list(out.glob("population.gen*.jsonl.tmp")):
                 path.unlink(missing_ok=True)
 
     def config(self, config: EngineConfig) -> None:
@@ -453,22 +458,13 @@ class _Persister:
         _write_atomic(self.out / BEST_FILE, json.dumps(payload, indent=2) + "\n")
 
 
-def _best_of(population: list[Benchmark]) -> Benchmark:
-    return min(population, key=lambda b: (b.fitness, b.id))
-
-
-def _best_payload(
-    populations: list[list[Benchmark]],
-    trace: list[float],
-    state: EngineState,
-    aborted: bool,
-) -> dict:
+def _best_payload(record: RunRecord, aborted: bool) -> dict:
     return {
-        "best": benchmark_to_record(_best_of(populations[-1])),
-        "best_fitness_per_generation": trace,
-        "generations_completed": len(populations),
-        "evaluated_benchmarks": state.evaluated_benchmarks,
-        "inner_trials_total": state.inner_trials_total,
+        "best": benchmark_to_record(record.best),
+        "best_fitness_per_generation": record.best_per_generation,
+        "generations_completed": len(record.populations),
+        "evaluated_benchmarks": record.evaluated_benchmarks,
+        "inner_trials_total": record.inner_trials_total,
         "aborted": aborted,
     }
 
@@ -485,35 +481,22 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     out = Path(config.output_dir) if config.output_dir else None
     persister = _Persister(out)
     persister.config(config)
-    state = EngineState(observer=persister.event)
+    record = RunRecord(config, observer=persister.event)
     rng = np.random.default_rng(config.seed)
-    populations: list[list[Benchmark]] = []
-    trace: list[float] = []
     try:
         for generation in range(config.max_generations):
             if generation == 0:
-                population = initialize_population(config, client, state)
+                population = initialize_population(record, client)
             else:
-                population, _ = step_generation(population, config, client, rng, generation, state)
-            populations.append(population)
-            trace.append(_best_of(population).fitness)
+                population = step_generation(record, population, client, rng, generation)
+            record.populations.append(population)
             persister.snapshot(generation, population)
-            persister.best(_best_payload(populations, trace, state, aborted=False))
+            persister.best(_best_payload(record, aborted=False))
     except (TranscriptMissError, TransportError, EngineAbort):
-        if populations:
-            persister.best(_best_payload(populations, trace, state, aborted=True))
+        if record.populations:
+            persister.best(_best_payload(record, aborted=True))
         raise
-    return RunRecord(
-        config=config,
-        populations=populations,
-        lineage=list(state.lineage),
-        best_per_generation=trace,
-        best=_best_of(populations[-1]),
-        evaluated_benchmarks=state.evaluated_benchmarks,
-        inner_trials_total=state.inner_trials_total,
-        aborted=False,
-        output_dir=config.output_dir,
-    )
+    return record
 
 
 # ------------------------------------------------------------------ loading
@@ -528,36 +511,50 @@ def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
     return read_jsonl(path, "benchmark", lambda record: benchmark_from_record(record, dimension))
 
 
+def _summary_counters(path: Path) -> tuple[int, int, int]:
+    """The summary's generation, evaluation and trial counts.
+
+    Every count that is missing or not an integer is a problem named
+    for the file, and all of them are raised together.
+    """
+    summary = read_object(path)
+    keys = ("generations_completed", "evaluated_benchmarks", "inner_trials_total")
+    problems = []
+    for key in keys:
+        value = summary.get(key)
+        if key not in summary:
+            problems.append(f"{path}: {key}: missing")
+        elif key == "generations_completed" and (type(value) is not int or value < 1):
+            problems.append(f"{path}: {key}: must be an integer >= 1, not {value!r} completed generations")
+        elif type(value) is not int:  # a bool is no count
+            problems.append(f"{path}: {key}: must be an integer")
+    raise_problems(problems)
+    return tuple(summary[key] for key in keys)
+
+
 def load_run(directory: str | Path) -> RunRecord:
     """Rehydrate a persisted run directory into a RunRecord.
 
     The summary file is the commit point for snapshots and lineage:
     exactly the snapshots of the generations it reports are read, and a
-    missing one is an error; only the lineage events of those
-    generations are kept.  A higher-numbered snapshot or a later event,
-    whose summary write never landed, is not part of the run and is
-    ignored, and so is a torn final lineage line.
+    missing one, or one that does not hold ``population_size`` members,
+    is an error; only the lineage events of those generations are kept.
+    A higher-numbered snapshot or a later event, whose summary write
+    never landed, is not part of the run and is ignored, and so is a
+    torn final lineage line.  Of the summary only its counts are read;
+    the best member and its trace come from the snapshots.
     """
     out = Path(directory)
     config = build(EngineConfig, read_object(out / CONFIG_FILE))
-    summary = read_object(out / BEST_FILE)
-    completed = summary["generations_completed"]
-    if isinstance(completed, bool) or not isinstance(completed, int) or completed < 1:
-        raise ValueError(f"{out / BEST_FILE} reports {completed!r} completed generations")
-    populations = [
-        load_population(out / snapshot_filename(generation), config.dimension)
-        for generation in range(completed)
-    ]
-    lineage = [e for e in load_lineage(out / LINEAGE_FILE) if e.generation < completed]
-    best = benchmark_from_record(summary["best"], config.dimension)
-    return RunRecord(
-        config=config,
-        populations=populations,
-        lineage=lineage,
-        best_per_generation=list(summary["best_fitness_per_generation"]),
-        best=best,
-        evaluated_benchmarks=summary["evaluated_benchmarks"],
-        inner_trials_total=summary["inner_trials_total"],
-        aborted=summary.get("aborted", False),
-        output_dir=str(out),
-    )
+    completed, evaluated, trials = _summary_counters(out / BEST_FILE)
+    record = RunRecord(config, evaluated_benchmarks=evaluated, inner_trials_total=trials)
+    for generation in range(completed):
+        path = out / snapshot_filename(generation)
+        population = load_population(path, config.dimension)
+        if len(population) != config.population_size:
+            raise ValueError(
+                f"{path}: holds {len(population)} benchmarks; population_size is {config.population_size}"
+            )
+        record.populations.append(population)
+    record.lineage = [e for e in load_lineage(out / LINEAGE_FILE) if e.generation < completed]
+    return record

@@ -673,7 +673,10 @@ def test_run_directory_with_stale_snapshots(smoke_run, command):
     path = smoke_run / "best.json"
     summary = json.loads(path.read_text())
     path.write_text(json.dumps({**summary, "generations_completed": 1}))
-    assert len(load_run(smoke_run).populations) == 1
+    record = load_run(smoke_run)
+    assert len(record.populations) == 1
+    # the best and its trace come from the committed snapshots only
+    assert len(record.best_per_generation) == len(record.populations)
     code = main([command, "--run", str(smoke_run), "--out", str(smoke_run / "out")])
     assert code == 0
 
@@ -692,6 +695,42 @@ def test_run_directory_missing_committed_snapshot(smoke_run, capsys, command, co
     assert code == 1
     err = capsys.readouterr().err
     assert "cannot load run" in err and cause in err
+
+
+@pytest.mark.parametrize(
+    "value, problem", [(None, "missing"), ("3", "must be an integer"), (True, "must be an integer")]
+)
+@pytest.mark.parametrize("key", ["evaluated_benchmarks", "inner_trials_total", "generations_completed"])
+def test_run_summary_count_problem_names_the_file(smoke_run, capsys, key, value, problem):
+    path = smoke_run / "best.json"
+    summary = json.loads(path.read_text())
+    if value is None:
+        del summary[key]
+    else:
+        summary[key] = value
+    path.write_text(json.dumps(summary))
+    if key == "generations_completed" and value is not None:
+        problem = f"must be an integer >= 1, not {value!r} completed generations"
+    _assert_load_refused(smoke_run, capsys, f"{path}: {key}: {problem}")
+
+
+@pytest.mark.parametrize("kept", [0, 2])
+def test_run_directory_short_committed_snapshot(smoke_run, capsys, kept):
+    path = smoke_run / "population.gen2.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:kept]))
+    _assert_load_refused(smoke_run, capsys, f"{path}: holds {kept} benchmarks; population_size is 4")
+
+
+def _assert_load_refused(run_dir, capsys, problem):
+    # neither command writes anything before it has loaded the run
+    for command in ("lineage", "analyze"):
+        capsys.readouterr()
+        code = main([command, "--run", str(run_dir), "--out", str(run_dir / "out")])
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"cannot load run: {problem}"], command
 
 
 @pytest.mark.parametrize("name", ["config.json", "best.json"])

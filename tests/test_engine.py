@@ -13,8 +13,9 @@ from ebg.engine import (
     Benchmark,
     EngineAbort,
     EngineConfig,
-    EngineState,
     LineageEvent,
+    RunRecord,
+    benchmark_to_record,
     initialize_population,
     load_run,
     run,
@@ -164,8 +165,8 @@ def test_config_dict_round_trip(tmp_path):
 def test_initialize_population_seed_and_conditioning():
     config = tiny_config()
     backend = FormulaBackend()
-    state = EngineState()
-    population = initialize_population(config, backend, state)
+    record = RunRecord(config)
+    population = initialize_population(record, backend)
     assert len(population) == 4
     assert population[0].text == "x[0] + x[1]**2 + x[2]**3"
     assert population[0].origin == "seed"
@@ -177,7 +178,7 @@ def test_initialize_population_seed_and_conditioning():
     assert backend.prompts[2].count("Example") == 3
     assert "f(x) = x[0] + x[1]**2 + x[2]**3" in backend.prompts[0]
     # init lineage events carry the in-context example ids
-    init_events = [e for e in state.lineage if e.kind == "init_llm"]
+    init_events = [e for e in record.lineage if e.kind == "init_llm"]
     assert [e.parent_ids for e in init_events] == [(1,), (1, 2), (1, 2, 3)]
     assert all(np.isfinite(b.fitness) for b in population)
 
@@ -185,23 +186,30 @@ def test_initialize_population_seed_and_conditioning():
 def test_initialize_population_replay_miss_propagates():
     config = tiny_config()
     with pytest.raises(TranscriptMissError):
-        initialize_population(config, ReplayBackend([]), EngineState())
+        initialize_population(RunRecord(config), ReplayBackend([]))
 
 
 # ------------------------------------------------------------- generations
 
 
 def _initialized(config):
-    state = EngineState()
-    population = initialize_population(config, FormulaBackend(), state)
-    return population, state
+    record = RunRecord(config)
+    population = initialize_population(record, FormulaBackend())
+    return population, record
+
+
+def _step(record, population, backend, rng):
+    """Generation 1's survivors and the lineage events it added."""
+    before = len(record.lineage)
+    survivors = step_generation(record, population, backend, rng, 1)
+    return survivors, record.lineage[before:]
 
 
 def test_step_generation_all_crossover_when_rate_is_one():
     config = tiny_config(crossover_rate=1.0)
-    population, state = _initialized(config)
+    population, record = _initialized(config)
     rng = np.random.default_rng(0)
-    survivors, events = step_generation(population, config, FormulaBackend(), rng, 1, state)
+    survivors, events = _step(record, population, FormulaBackend(), rng)
     assert len(survivors) == 4
     assert [e.kind for e in events] == ["crossover"] * 4
     assert all(len(e.parent_ids) == 2 for e in events)
@@ -210,19 +218,19 @@ def test_step_generation_all_crossover_when_rate_is_one():
 
 def test_step_generation_all_mutation_when_rate_is_zero():
     config = tiny_config(crossover_rate=0.0)
-    population, state = _initialized(config)
+    population, record = _initialized(config)
     rng = np.random.default_rng(0)
-    _, events = step_generation(population, config, FormulaBackend(), rng, 1, state)
+    _, events = _step(record, population, FormulaBackend(), rng)
     assert [e.kind for e in events] == ["mutation"] * 4
     assert all(len(e.parent_ids) == 1 for e in events)
 
 
 def test_step_generation_parents_come_from_current_population():
     config = tiny_config()
-    population, state = _initialized(config)
+    population, record = _initialized(config)
     alive = {b.id for b in population}
     rng = np.random.default_rng(1)
-    survivors, events = step_generation(population, config, FormulaBackend(), rng, 1, state)
+    survivors, events = _step(record, population, FormulaBackend(), rng)
     for event in events:
         assert set(event.parent_ids) <= alive
         assert all(event.child_id > pid for pid in event.parent_ids)
@@ -232,24 +240,24 @@ def test_step_generation_parents_come_from_current_population():
 
 def test_step_generation_survivors_are_best_of_union():
     config = tiny_config()
-    population, state = _initialized(config)
+    population, record = _initialized(config)
     rng = np.random.default_rng(2)
     backend = FormulaBackend()
-    survivors, events = step_generation(population, config, backend, rng, 1, state)
+    survivors, events = _step(record, population, backend, rng)
     best_parent = min(b.fitness for b in population)
     assert min(b.fitness for b in survivors) <= best_parent
 
 
 def test_identical_offspring_flagged_and_cached():
     config = tiny_config(crossover_rate=0.0)
-    population, state = _initialized(config)
-    evaluated_before = state.evaluated_benchmarks
+    population, record = _initialized(config)
+    evaluated_before = record.evaluated_benchmarks
     rng = np.random.default_rng(3)
-    survivors, events = step_generation(population, config, EchoBackend(), rng, 1, state)
+    survivors, events = _step(record, population, EchoBackend(), rng)
     assert all(e.identical for e in events)
     # echoed formulas hit the evaluation cache rather than re-running trials
-    assert state.evaluated_benchmarks == evaluated_before
-    assert state.inner_trials_total == 2 * config.fitness.trials * state.evaluated_benchmarks
+    assert record.evaluated_benchmarks == evaluated_before
+    assert record.inner_trials_total == 2 * config.fitness.trials * record.evaluated_benchmarks
 
 
 # -------------------------------------------------------------- whole runs
@@ -294,6 +302,10 @@ def test_run_persists_and_reloads(tmp_path):
     assert loaded.inner_trials_total == record.inner_trials_total
     assert [[b.id for b in pop] for pop in loaded.populations] == [
         [b.id for b in pop] for pop in record.populations
+    ]
+    # every member as its snapshot line holds it: a NaN term is null there
+    assert [[benchmark_to_record(b) for b in pop] for pop in loaded.populations] == [
+        [benchmark_to_record(b) for b in pop] for pop in record.populations
     ]
     assert loaded.lineage == record.lineage
     summary = json.loads((out / "best.json").read_text())
@@ -361,6 +373,9 @@ def test_reused_run_directory_drops_stale_files(tmp_path):
     out = tmp_path / "reused"
     run(tiny_config(output_dir=str(out)), FormulaBackend())
     (out / "transcript.jsonl").write_text("kept\n")
+    # the temporaries of an interrupted atomic write, beside a user's own
+    for name in ("best.json.tmp", "config.json.tmp", "population.gen2.jsonl.tmp", "notes.tmp"):
+        (out / name).write_text("partial\n")
     # the second run into the same directory aborts after generation 0
     config = tiny_config(
         output_dir=str(out),
@@ -369,9 +384,11 @@ def test_reused_run_directory_drops_stale_files(tmp_path):
     with pytest.raises(EngineAbort):
         run(config, FormulaBackend(supply=3))
     assert sorted(p.name for p in out.iterdir()) == [
-        "best.json", "config.json", "lineage.jsonl", "population.gen0.jsonl", "transcript.jsonl"
+        "best.json", "config.json", "lineage.jsonl", "notes.tmp", "population.gen0.jsonl",
+        "transcript.jsonl",
     ]
     assert (out / "transcript.jsonl").read_text() == "kept\n"
+    assert (out / "notes.tmp").read_text() == "partial\n"
     record = load_run(out)
     assert len(record.populations) == 1
     assert len(record.best_per_generation) == 1
