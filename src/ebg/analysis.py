@@ -56,6 +56,8 @@ class AnalysisConfig:
         for name in ("fd_step_gradient", "fd_step_hessian"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name}: must be positive")
+        if self.seed < 0:
+            problems.append("seed: must be >= 0")
         raise_problems(problems)
 
 

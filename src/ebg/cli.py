@@ -190,7 +190,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as err:
         print(f"cannot read transcript: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         record = run(config, backend)
     except (EngineAbort, TranscriptMissError, TransportError) as err:
@@ -281,13 +280,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 base_samples=analysis.sobol_base_samples,
                 seed=analysis.seed,
             )
-            payload = {
-                "expression": text,
-                "first_order": list(result.first_order),
-                "total_order": list(result.total_order),
-                "total_variance": result.total_variance,
-                "base_samples": result.base_samples,
-            }
+            payload = {"expression": text, **dataclasses.asdict(result)}
             (out_dir / "sobol.json").write_text(json.dumps(payload, indent=2) + "\n")
             print(f"wrote {out_dir / 'sobol.json'}")
         if args.what in ("curvature", "both"):

@@ -12,11 +12,12 @@ Every LLM-made individual, at initialization or later, takes one path,
 ``_breed``: prompt with its parents, generate and pre-validate, charge
 exhausted attempts to the run-wide budget, evaluate and log the child.
 
-A run persists incrementally into a directory: the config snapshot, one
-population file per generation, a lineage event log, and a best-so-far
-summary.  Opening a directory clears what an earlier run wrote there,
-except a transcript.  Given the same config, seed, and a recorded
-transcript, a run reproduces byte-identically.
+A run writes a directory: the config snapshot when it starts, then one
+commit per completed generation (its population file, its lineage
+events, and the best-so-far summary that commits both).  Opening a
+directory clears what an earlier run wrote there, except a transcript.
+Given the same config, seed, and a recorded transcript, a run
+reproduces byte-identically.
 
 One ``RunRecord`` holds a run, whether ``run`` builds it or
 ``load_run`` reads it back; its best member is derived from its
@@ -90,6 +91,8 @@ class EngineConfig:
             problems.append("crossover_rate: must lie in [0, 1]")
         if self.dimension < 1:
             problems.append("dimension: must be >= 1")
+        if self.seed < 0:
+            problems.append("seed: must be >= 0")
         raise_problems(problems)
 
 
@@ -136,9 +139,7 @@ class RunRecord:
     member and the per-generation best fitness are read from them.  The
     id counter, the per-text evaluation cache and the failed-attempt
     budget are the live engine's bookkeeping; a loaded run keeps their
-    defaults, because no run file holds them yet.  ``observer`` is
-    called with each new lineage event so a run can persist the log
-    incrementally.
+    defaults, because no run file holds them yet.
     """
 
     config: EngineConfig
@@ -149,7 +150,6 @@ class RunRecord:
     next_id: int = 1
     failed_attempts: int = 0
     cache: dict[str, BenchmarkEvaluation] = field(default_factory=dict, compare=False, repr=False)
-    observer: Callable[[LineageEvent], None] | None = field(default=None, compare=False, repr=False)
 
     @property
     def best(self) -> Benchmark:
@@ -163,11 +163,6 @@ class RunRecord:
         out = self.next_id
         self.next_id += 1
         return out
-
-    def record(self, event: LineageEvent) -> None:
-        self.lineage.append(event)
-        if self.observer is not None:
-            self.observer(event)
 
 
 def _best_of(population: list[Benchmark]) -> Benchmark:
@@ -240,7 +235,7 @@ def _admit(
         parent_ids=parent_ids,
         generation_created=generation,
     )
-    record.record(
+    record.lineage.append(
         LineageEvent(
             child_id=benchmark.id,
             kind=origin,
@@ -387,12 +382,6 @@ def benchmark_from_record(record: dict, dimension: int) -> Benchmark:
     )
 
 
-def event_to_record(event: LineageEvent) -> dict:
-    record = {f.name: getattr(event, f.name) for f in dataclasses.fields(LineageEvent)}
-    record["parent_ids"] = list(event.parent_ids)
-    return record
-
-
 def event_from_record(record: dict) -> LineageEvent:
     values = {f.name: record[f.name] for f in dataclasses.fields(LineageEvent)}
     values["parent_ids"] = tuple(values["parent_ids"])
@@ -413,53 +402,28 @@ def _write_atomic(path: Path, text: str) -> None:
         partial.unlink(missing_ok=True)
 
 
-class _Persister:
-    """Single writer for one run directory; a None directory disables IO.
+def _open_run_directory(config: EngineConfig) -> Path | None:
+    """Make the run directory, clear it, and write the config snapshot.
 
-    Whole files (config, snapshots, summary) are replaced atomically;
-    the lineage file is appended to, one event per line.
+    A reused directory keeps transcript.jsonl, which --replay may read,
+    and loses everything an earlier run wrote, half-written temporaries
+    included; other ``*.tmp`` files are not the run's and stay.  No
+    ``output_dir`` keeps the run in memory and returns None.
     """
-
-    def __init__(self, out: Path | None):
-        self.out = out
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            # a reused directory keeps transcript.jsonl, which --replay
-            # may read, and loses everything an earlier run wrote,
-            # half-written temporaries included
-            stale = [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]
-            # only the temporaries that _write_atomic makes; other *.tmp
-            # files are not the run's
-            stale += [out / f"{CONFIG_FILE}.tmp", out / f"{BEST_FILE}.tmp"]
-            for path in stale + list(out.glob("population.gen*.jsonl.tmp")):
-                path.unlink(missing_ok=True)
-
-    def config(self, config: EngineConfig) -> None:
-        if self.out is None:
-            return
-        text = json.dumps(dataclasses.asdict(config), indent=2)
-        _write_atomic(self.out / CONFIG_FILE, text + "\n")
-
-    def event(self, event: LineageEvent) -> None:
-        if self.out is None:
-            return
-        with open(self.out / LINEAGE_FILE, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event_to_record(event)) + "\n")
-
-    def snapshot(self, generation: int, population: list[Benchmark]) -> None:
-        if self.out is None:
-            return
-        lines = [json.dumps(benchmark_to_record(b)) for b in population]
-        _write_atomic(self.out / snapshot_filename(generation), "\n".join(lines) + "\n")
-
-    def best(self, payload: dict) -> None:
-        if self.out is None:
-            return
-        _write_atomic(self.out / BEST_FILE, json.dumps(payload, indent=2) + "\n")
+    if not config.output_dir:
+        return None
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stale = [out / LINEAGE_FILE, out / BEST_FILE, *out.glob("population.gen*.jsonl")]
+    stale += [out / f"{CONFIG_FILE}.tmp", out / f"{BEST_FILE}.tmp", *out.glob("population.gen*.jsonl.tmp")]
+    for path in stale:
+        path.unlink(missing_ok=True)
+    _write_atomic(out / CONFIG_FILE, json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+    return out
 
 
-def _best_payload(record: RunRecord, aborted: bool) -> dict:
-    return {
+def _write_best(out: Path, record: RunRecord, aborted: bool) -> None:
+    payload = {
         "best": benchmark_to_record(record.best),
         "best_fitness_per_generation": record.best_per_generation,
         "generations_completed": len(record.populations),
@@ -467,22 +431,33 @@ def _best_payload(record: RunRecord, aborted: bool) -> dict:
         "inner_trials_total": record.inner_trials_total,
         "aborted": aborted,
     }
+    _write_atomic(out / BEST_FILE, json.dumps(payload, indent=2) + "\n")
+
+
+def _commit_generation(out: Path, record: RunRecord, events: list[LineageEvent]) -> None:
+    """Write the newest generation: its snapshot, atomically; its lineage
+    ``events``, in one append; then the summary, which commits both."""
+    population = record.populations[-1]
+    lines = [json.dumps(benchmark_to_record(b)) for b in population]
+    _write_atomic(out / snapshot_filename(len(record.populations) - 1), "\n".join(lines) + "\n")
+    with open(out / LINEAGE_FILE, "a", encoding="utf-8") as handle:
+        handle.write("".join(json.dumps(dataclasses.asdict(event)) + "\n" for event in events))
+    _write_best(out, record, aborted=False)
 
 
 def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     """Full run: initialization plus max_generations - 1 generation steps.
 
-    Artifacts are persisted as soon as they exist, so an abort from a
-    replay miss, a transport failure or an exhausted retry budget leaves
-    every completed generation on disk with ``aborted`` set in the
-    summary file.  The summary is written after the generation's
-    snapshot and commits it.
+    Each generation is committed to the run directory as it completes,
+    so an abort from a replay miss, a transport failure or an exhausted
+    retry budget leaves every completed generation on disk with
+    ``aborted`` set in the summary file; the unfinished generation
+    writes nothing.
     """
-    out = Path(config.output_dir) if config.output_dir else None
-    persister = _Persister(out)
-    persister.config(config)
-    record = RunRecord(config, observer=persister.event)
+    out = _open_run_directory(config)
+    record = RunRecord(config)
     rng = np.random.default_rng(config.seed)
+    committed = 0  # lineage events already written
     try:
         for generation in range(config.max_generations):
             if generation == 0:
@@ -490,11 +465,12 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
             else:
                 population = step_generation(record, population, client, rng, generation)
             record.populations.append(population)
-            persister.snapshot(generation, population)
-            persister.best(_best_payload(record, aborted=False))
+            if out is not None:
+                _commit_generation(out, record, record.lineage[committed:])
+                committed = len(record.lineage)
     except (TranscriptMissError, TransportError, EngineAbort):
-        if record.populations:
-            persister.best(_best_payload(record, aborted=True))
+        if out is not None and record.populations:
+            _write_best(out, record, aborted=True)
         raise
     return record
 

@@ -297,7 +297,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, start = self.take()
         if kind == "number":
-            return Constant(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ParseError(f"number {val} is out of range", start)
+            return Constant(value)
         if kind == "name":
             if val == "x":
                 self.expect("[")

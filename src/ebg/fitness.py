@@ -55,6 +55,8 @@ class FitnessConfig:
             problems.append("a2: must differ from a1")
         if self.prevalidation_samples < 1:
             problems.append("prevalidation_samples: must be >= 1")
+        if self.base_seed < 0:
+            problems.append("base_seed: must be >= 0")
         raise_problems(problems)
 
 

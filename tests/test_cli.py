@@ -417,6 +417,37 @@ def test_evaluate_reports_parse_errors(tmp_path, capsys):
     assert "log" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_number_that_overflows_a_float_is_a_bad_expression(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--expr", "x[0] + 1e999", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["bad expression: number 1e999 is out of range (at position 7)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, problem",
+    [
+        (["generate", "--replay", SMOKE_TRANSCRIPT, "--seed", "-1"], {}, "seed: must be >= 0"),
+        (
+            ["generate", "--replay", SMOKE_TRANSCRIPT],
+            {"fitness": {"base_seed": -1}},
+            "fitness.base_seed: must be >= 0",
+        ),
+        (["evaluate", "--expr", "x[0]", "--seed", "-1"], {}, "fitness.base_seed: must be >= 0"),
+        (["analyze", "--expr", "x[0]"], {"analysis": {"seed": -1}}, "analysis.seed: must be >= 0"),
+    ],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, config, problem):
+    out = tmp_path / "out"
+    code = main([*command, "--config", _write_config(tmp_path, **config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not out.exists()
+
+
 def test_evaluate_reads_expression_from_file(tmp_path, capsys):
     config = _write_config(tmp_path, **TINY_BLOCKS)
     source = tmp_path / "expr.txt"

@@ -350,6 +350,25 @@ def test_run_aborts_when_failure_budget_spent(tmp_path):
     assert not (out / "population.gen1.jsonl").exists()
 
 
+def test_aborted_generation_writes_no_lineage(tmp_path):
+    out = tmp_path / "abort"
+    config = tiny_config(
+        output_dir=str(out),
+        retry=RetryPolicy(max_attempts_per_offspring=2, global_failure_cap=4),
+    )
+    # three init formulas and two generation-1 children, then prose
+    backend = FormulaBackend(supply=5)
+    with pytest.raises(EngineAbort):
+        run(config, backend)
+    # five accepted replies and four failed ones: children 5 and 6 were
+    # admitted, but generation 1 never committed
+    assert backend.calls == 9
+    raw = [json.loads(line) for line in (out / "lineage.jsonl").read_text().splitlines()]
+    assert [event["child_id"] for event in raw] == [1, 2, 3, 4]
+    assert all(event["generation"] == 0 for event in raw)
+    assert [event.child_id for event in load_run(out).lineage] == [1, 2, 3, 4]
+
+
 def test_run_aborts_on_transport_failure(tmp_path):
     class DeadAfterInit(FormulaBackend):
         def complete(self, prompt: str) -> str:
@@ -446,3 +465,4 @@ def test_run_abort_during_init_leaves_config(tmp_path):
         run(config, ReplayBackend([]))
     assert (out / "config.json").exists()
     assert not (out / "best.json").exists()
+    assert not (out / "lineage.jsonl").exists()

@@ -43,6 +43,13 @@ def test_parse_syntax_error_has_position():
     assert err.value.position == 5
 
 
+def test_parse_number_that_overflows_a_float():
+    with pytest.raises(ParseError) as err:
+        parse("x[0] + 1e999", 1)
+    assert str(err.value) == "number 1e999 is out of range (at position 7)"
+    parse("x[0] + 1e308", 1)  # the largest decade a float holds is fine
+
+
 def test_parse_unknown_function_named():
     with pytest.raises(SymbolError) as err:
         parse("log(x[0])", 1)

@@ -149,6 +149,7 @@ def test_sanitize_rejection_causes():
     assert sanitize_response("log(x[0])", 5).detail == "log"
     assert sanitize_response("x[7]**2", 5).cause == "bad-index"
     assert sanitize_response("I cannot help with that.", 5).cause == "unparseable"
+    assert sanitize_response("x[0] + 1e999", 5).cause == "unparseable"
 
 
 def test_sanitize_prefers_symbol_cause_over_prose():
@@ -246,6 +247,9 @@ def test_live_backend_transport():
         assert backend.complete("hello") == "Problem: f(x) = x[0]**2"
     finally:
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_live_backend_failure_is_transport_error():
@@ -297,6 +301,12 @@ def test_generate_offspring_retries_then_succeeds():
     backend = SequenceBackend("not a formula at all!", "log(x[0])", "sin(x[0])")
     result = generate_offspring(_spec(), backend)
     assert result.attempts == 3
+
+
+def test_generate_offspring_retries_past_an_overflowing_literal():
+    result = generate_offspring(_spec(), SequenceBackend("x[0] + 1e999", "x[0] + 2"))
+    assert result.attempts == 2
+    assert render(result.expression) == "x[0] + 2"
 
 
 def test_generate_offspring_exhausts_attempts():
