@@ -328,11 +328,10 @@ def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
     initialization members are terminal ancestors.  Events whose
     offspring text was identical to a prompt example are excluded from
     the operation counts, matching how lineage statistics discount
-    no-op generations, though their edges are still traversed.
+    no-op generations, though their edges are still traversed.  An id
+    on the walk that no event created raises ValueError.
     """
     events = {event.child_id: event for event in lineage}
-    if best_id not in events:
-        raise ValueError(f"unknown benchmark id {best_id}")
     visited: set[int] = set()
     frontier = [best_id]
     crossover = 0
@@ -341,6 +340,8 @@ def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
         node = frontier.pop()
         if node in visited:
             continue
+        if node not in events:
+            raise ValueError(f"unknown benchmark id {node}")
         visited.add(node)
         event = events[node]
         if event.kind not in (ORIGIN_CROSSOVER, ORIGIN_MUTATION):

@@ -13,7 +13,11 @@ also asks the backend block for a source of responses.
 
 Exit codes: 0 success, 1 for validation problems (every violated field
 is listed), 2 for runtime aborts such as replay misses, a failed chat
-endpoint, exhausted retry budgets, or invalid analysis samples.
+endpoint, exhausted retry budgets, or invalid analysis samples.  There is
+one exit path: where a command reads an outside input (config, output
+path, transcript, expression, run directory) or runs its work, it turns
+that step's errors into a ``Refused``, and ``main`` alone prints its
+lines to stderr and returns its code.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import (
@@ -46,7 +51,7 @@ from .engine import (
     load_run,
     run,
 )
-from .expressions import ParseError, SymbolError, DimensionError, parse
+from .expressions import DimensionError, Expression, ParseError, SymbolError, parse
 from .fitness import evaluate_benchmark, prevalidate
 from .llm import (
     BackendConfig,
@@ -56,7 +61,6 @@ from .llm import (
     TranscriptMissError,
     TransportError,
 )
-from .optimizers import SearchSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -141,38 +145,77 @@ def build_backend(config: BackendConfig, out_dir: Path):
 # ------------------------------------------------------------ subcommands
 
 
-def _fail_validation(err: Exception) -> int:
-    for problem in err.problems if isinstance(err, ConfigError) else [str(err)]:
-        print(f"config error: {problem}", file=sys.stderr)
-    return EXIT_VALIDATION
+class Refused(Exception):
+    """A command's refusal: ``main`` prints its lines to stderr and
+    returns its exit code.  No library ``except ValueError`` catches it."""
+
+    def __init__(self, code: int, *lines: str):
+        super().__init__(*lines)
+        self.code = code
+        self.lines = lines
 
 
-def _output_problem(path: Path, directory: bool) -> str | None:
-    """Why ``path`` cannot take a command's output, or None.
+@contextmanager
+def refusing(code: int, prefix: str, *errors: type[Exception]):
+    """Turn any of ``errors`` raised in the block into one ``prefix: error`` refusal."""
+    try:
+        yield
+    except errors as err:
+        raise Refused(code, f"{prefix}: {err}") from err
+
+
+@contextmanager
+def reading_config():
+    """Turn a config file's errors into one ``config error:`` line per problem."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        problems = err.problems if isinstance(err, ConfigError) else [str(err)]
+        raise Refused(EXIT_VALIDATION, *(f"config error: {problem}" for problem in problems)) from err
+
+
+def check_output(path: Path, directory: bool) -> None:
+    """Refuse an output ``path`` that cannot take a command's output.
 
     A directory output is created with its parents, so its nearest
     existing ancestor must be a directory.  A file output needs an
     existing parent directory and must not be a directory itself.
     """
+    problem = None
     if directory:
         existing = next(p for p in (path, *path.parents) if p.exists())
         if not existing.is_dir():
-            return f"{existing} exists and is not a directory"
+            problem = f"{existing} exists and is not a directory"
     elif path.is_dir():
-        return f"{path} is a directory"
+        problem = f"{path} is a directory"
     elif not path.parent.is_dir():
-        return f"no directory {path.parent}"
-    return None
+        problem = f"no directory {path.parent}"
+    if problem:
+        raise Refused(EXIT_VALIDATION, f"cannot write output: {problem}")
 
 
-def _fail_output(problem: str) -> int:
-    print(f"cannot write output: {problem}", file=sys.stderr)
-    return EXIT_VALIDATION
+def read_expression(text: str | None, file: str | None, dimension: int) -> tuple[str, Expression]:
+    """The text of ``--expr``, or else of ``--file``, and its parse."""
+    with refusing(EXIT_VALIDATION, "bad expression", OSError, ParseError, SymbolError, DimensionError):
+        # read once: the report names the text that was scored
+        if text is None:
+            text = Path(file).read_text(encoding="utf-8").strip()
+        return text, parse(text, dimension)
+
+
+def read_run(directory: str) -> RunRecord:
+    with refusing(EXIT_VALIDATION, "cannot load run", OSError, ValueError):
+        return load_run(directory)
+
+
+def write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    try:
+    with reading_config():
         env = {field: os.environ[name] for name, field in ENV_BACKEND.items() if os.environ.get(name)}
         data = override(load_config(args.config), "backend", env)
         if args.replay is not None:
@@ -180,21 +223,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             data = {**data, "seed": args.seed}
         config, backend_config, _ = build_configs(data, str(out_dir), generate=True)
-    except (OSError, ValueError) as err:
-        return _fail_validation(err)
-    problem = _output_problem(out_dir, directory=True)
-    if problem:
-        return _fail_output(problem)
-    try:
+    check_output(out_dir, directory=True)
+    with refusing(EXIT_VALIDATION, "cannot read transcript", OSError, ValueError, KeyError):
         backend = build_backend(backend_config, out_dir)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"cannot read transcript: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    with refusing(EXIT_RUNTIME, "run aborted", EngineAbort, TranscriptMissError, TransportError):
         record = run(config, backend)
-    except (EngineAbort, TranscriptMissError, TransportError) as err:
-        print(f"run aborted: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     print(f"best expression: {record.best.text}")
     print(f"best fitness: {record.best.fitness:.10g}")
     print(f"run directory: {out_dir}")
@@ -202,30 +235,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
+    with reading_config():
         data = load_config(args.config)
         if args.seed is not None:
             data = override(data, "fitness", {"base_seed": args.seed})
         config, _, _ = build_configs(data)
-    except (OSError, ValueError) as err:
-        return _fail_validation(err)
     out = Path(args.out)
-    problem = _output_problem(out, directory=False)
-    if problem:
-        return _fail_output(problem)
-    try:
-        # read once: the report names the text that was scored
-        text = args.expr if args.expr is not None else Path(args.file).read_text(encoding="utf-8").strip()
-        expr = parse(text, config.dimension)
-    except (OSError, ParseError, SymbolError, DimensionError) as err:
-        print(f"bad expression: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    check_output(out, directory=False)
+    text, expr = read_expression(args.expr, args.file, config.dimension)
     fitness_config = config.fitness
-    space = SearchSpace(dimension=config.dimension)
-    if not prevalidate(expr, space, fitness_config.prevalidation_samples, fitness_config.base_seed):
-        print("expression failed pre-validation: invalid values on the search box", file=sys.stderr)
-        return EXIT_VALIDATION
-    evaluation = evaluate_benchmark(expr, fitness_config, space, config.ga, config.de)
+    if not prevalidate(expr, fitness_config):
+        raise Refused(EXIT_VALIDATION, "expression failed pre-validation: invalid values on the search box")
+    evaluation = evaluate_benchmark(expr, fitness_config, ga_config=config.ga, de_config=config.de)
     a1, a2 = fitness_config.a1, fitness_config.a2
     print(f"fitness: {evaluation.fitness:.10g}")
     print(f"rank term: {evaluation.rank_term:.10g}")
@@ -243,46 +264,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         a1: list(evaluation.a1_best),
         a2: list(evaluation.a2_best),
     }
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    write_json(out, payload)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
+    with reading_config():
         config, _, analysis = build_configs(load_config(args.config))
-    except (OSError, ValueError) as err:
-        return _fail_validation(err)
     out_dir = Path(args.out)
-    problem = _output_problem(out_dir, directory=True)
-    if problem:
-        return _fail_output(problem)
+    check_output(out_dir, directory=True)
     if args.run is not None:
-        try:
-            record = load_run(args.run)
-        except (OSError, ValueError) as err:
-            print(f"cannot load run: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
-        expr = record.best.expression
-        text = record.best.text
+        record = read_run(args.run)
+        expr, text = record.best.expression, record.best.text
     else:
-        try:
-            expr = parse(args.expr, config.dimension)
-        except (ParseError, SymbolError, DimensionError) as err:
-            print(f"bad expression: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
-        text = args.expr
+        text, expr = read_expression(args.expr, None, config.dimension)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with refusing(EXIT_RUNTIME, "analysis aborted", ValueError):  # InvalidSamplePoint is a ValueError
         if args.what in ("sobol", "both"):
-            result = sobol_indices(
-                expr,
-                base_samples=analysis.sobol_base_samples,
-                seed=analysis.seed,
-            )
-            payload = {"expression": text, **dataclasses.asdict(result)}
-            (out_dir / "sobol.json").write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {out_dir / 'sobol.json'}")
+            result = sobol_indices(expr, base_samples=analysis.sobol_base_samples, seed=analysis.seed)
+            write_json(out_dir / "sobol.json", {"expression": text, **dataclasses.asdict(result)})
         if args.what in ("curvature", "both"):
             features = curvature_features(
                 expr,
@@ -291,17 +291,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 fd_step_hessian=analysis.fd_step_hessian,
                 seed=analysis.seed,
             )
-            payload = {"expression": text, **dataclasses.asdict(features)}
-            (out_dir / "curvature.json").write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {out_dir / 'curvature.json'}")
-    except ValueError as err:  # InvalidSamplePoint is a ValueError
-        print(f"analysis aborted: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+            write_json(out_dir / "curvature.json", {"expression": text, **dataclasses.asdict(features)})
     return EXIT_OK
-
-
-def _dot_line(parent: int, child: int, style: str) -> str:
-    return f"  b{parent} -> b{child} [style={style}];"
 
 
 def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
@@ -335,37 +326,25 @@ def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
     lines = ["digraph lineage {", "  node [shape=box];"]
     for event in record.lineage:
         known = individuals.get(event.child_id)
-        if known is not None:
-            label = f"{event.child_id}\\n{known.fitness:.4g}"
-        else:
-            label = str(event.child_id)
+        label = str(event.child_id) if known is None else f"{event.child_id}\\n{known.fitness:.4g}"
         lines.append(f'  b{event.child_id} [label="{label}"];')
     for event in record.lineage:
         style = styles.get(event.kind)
         if style is None:
             continue
         for parent in event.parent_ids:
-            lines.append(_dot_line(parent, event.child_id, style))
+            lines.append(f"  b{parent} -> b{event.child_id} [style={style}];")
     lines.append("}")
     (out_dir / "lineage.dot").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_lineage(args: argparse.Namespace) -> int:
     out_dir = Path(args.out if args.out is not None else args.run)
-    problem = _output_problem(out_dir, directory=True)
-    if problem:
-        return _fail_output(problem)
-    try:
-        record = load_run(args.run)
-    except (OSError, ValueError) as err:
-        print(f"cannot load run: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    check_output(out_dir, directory=True)
+    record = read_run(args.run)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with refusing(EXIT_RUNTIME, "lineage analysis failed", ValueError):
         write_lineage_outputs(record, out_dir)
-    except ValueError as err:
-        print(f"lineage analysis failed: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     for name in ("distances.csv", "embedding.csv", "operator_stats.json", "lineage.dot"):
         print(f"wrote {out_dir / name}")
     return EXIT_OK
@@ -427,7 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_VALIDATION
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Refused as refusal:
+        for line in refusal.lines:
+            print(line, file=sys.stderr)
+        return refusal.code
 
 
 if __name__ == "__main__":

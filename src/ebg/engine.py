@@ -32,7 +32,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -47,9 +46,10 @@ from .llm import (
     TranscriptMissError,
     TransportError,
     generate_offspring,
+    json_field,
     read_jsonl,
 )
-from .optimizers import DeConfig, GaConfig, SearchSpace
+from .optimizers import DeConfig, GaConfig
 
 ORIGIN_SEED = "seed"
 ORIGIN_INIT = "init_llm"
@@ -187,23 +187,12 @@ def seed_expression(dimension: int) -> Expression:
     return Expression(root=root, dimension=dimension)
 
 
-def _space(config: EngineConfig) -> SearchSpace:
-    return SearchSpace(dimension=config.dimension)
-
-
-def _validator(config: EngineConfig) -> Callable[[Expression], bool]:
-    space = _space(config)
-    samples = config.fitness.prevalidation_samples
-    seed = config.fitness.base_seed
-    return lambda expr: prevalidate(expr, space, samples, seed)
-
-
 def _evaluate(record: RunRecord, expr: Expression, text: str) -> BenchmarkEvaluation:
     cached = record.cache.get(text)
     if cached is not None:
         return cached
     config = record.config
-    evaluation = evaluate_benchmark(expr, config.fitness, _space(config), config.ga, config.de)
+    evaluation = evaluate_benchmark(expr, config.fitness, ga_config=config.ga, de_config=config.de)
     record.cache[text] = evaluation
     record.evaluated_benchmarks += 1
     record.inner_trials_total += len(evaluation.a1_best) + len(evaluation.a2_best)
@@ -254,7 +243,6 @@ _PROMPT_KINDS = {ORIGIN_INIT: "init", ORIGIN_CROSSOVER: "crossover", ORIGIN_MUTA
 def _breed(
     record: RunRecord,
     client: ChatBackend,
-    validator: Callable[[Expression], bool],
     origin: str,
     parents: list[Benchmark],
     generation: int,
@@ -273,7 +261,9 @@ def _breed(
         examples=tuple(parent.text for parent in parents),
     )
     try:
-        result = generate_offspring(spec, client, config.retry, validator)
+        result = generate_offspring(
+            spec, client, config.retry, lambda expr: prevalidate(expr, config.fitness)
+        )
     except AttemptsExhausted as err:
         record.failed_attempts += err.attempts
         if record.failed_attempts >= config.retry.global_failure_cap:
@@ -302,10 +292,9 @@ def initialize_population(record: RunRecord, client: ChatBackend) -> list[Benchm
     fills.
     """
     config = record.config
-    validator = _validator(config)
     population = [_admit(record, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
     while len(population) < config.population_size:
-        child = _breed(record, client, validator, ORIGIN_INIT, population, 0)
+        child = _breed(record, client, ORIGIN_INIT, population, 0)
         if child is not None:
             population.append(child)
     return population
@@ -328,7 +317,6 @@ def step_generation(
 ) -> list[Benchmark]:
     """One generation: N offspring, then elitist selection from P union Q."""
     config = record.config
-    validator = _validator(config)
     offspring: list[Benchmark] = []
     while len(offspring) < config.population_size:
         # rng.random() is drawn before the size check, whatever its outcome
@@ -339,7 +327,7 @@ def step_generation(
         else:
             parents = [population[int(rng.integers(len(population)))]]
             origin = ORIGIN_MUTATION
-        child = _breed(record, client, validator, origin, parents, generation)
+        child = _breed(record, client, origin, parents, generation)
         if child is not None:
             offspring.append(child)
     return select_survivors(population + offspring, config.population_size)
@@ -367,25 +355,34 @@ def benchmark_to_record(benchmark: Benchmark) -> dict:
 
 
 def benchmark_from_record(record: dict, dimension: int) -> Benchmark:
-    expr = parse(record["expression"], dimension)
+    def number_or_nan(name: str) -> float:
+        value = json_field(record, name, "a number or null")
+        return float("nan") if value is None else value
+
+    text = json_field(record, "expression", "a string")
     return Benchmark(
-        id=record["id"],
-        expression=expr,
-        text=record["expression"],
-        fitness=record["fitness"],
-        rank_term=float("nan") if record["rank_term"] is None else record["rank_term"],
-        penalty_term=float("nan") if record["penalty_term"] is None else record["penalty_term"],
-        any_invalid=record["any_invalid"],
-        origin=record["origin"],
-        parent_ids=tuple(record["parent_ids"]),
-        generation_created=record["generation_created"],
+        id=json_field(record, "id", "an integer"),
+        expression=parse(text, dimension),
+        text=text,
+        fitness=json_field(record, "fitness", "a number"),
+        rank_term=number_or_nan("rank_term"),
+        penalty_term=number_or_nan("penalty_term"),
+        any_invalid=json_field(record, "any_invalid", "a boolean"),
+        origin=json_field(record, "origin", "a string"),
+        parent_ids=tuple(json_field(record, "parent_ids", "a list of integers")),
+        generation_created=json_field(record, "generation_created", "an integer"),
     )
 
 
 def event_from_record(record: dict) -> LineageEvent:
-    values = {f.name: record[f.name] for f in dataclasses.fields(LineageEvent)}
-    values["parent_ids"] = tuple(values["parent_ids"])
-    return LineageEvent(**values)
+    return LineageEvent(
+        child_id=json_field(record, "child_id", "an integer"),
+        kind=json_field(record, "kind", "a string"),
+        parent_ids=tuple(json_field(record, "parent_ids", "a list of integers")),
+        attempts=json_field(record, "attempts", "an integer"),
+        identical=json_field(record, "identical", "a boolean"),
+        generation=json_field(record, "generation", "an integer"),
+    )
 
 
 def snapshot_filename(generation: int) -> str:

@@ -183,20 +183,15 @@ def evaluate_benchmark(
 # -------------------------------------------------------------- validation
 
 
-def prevalidate(
-    expr: Expression,
-    space: SearchSpace | None = None,
-    samples: int = FitnessConfig.prevalidation_samples,
-    seed: int = 0,
-) -> bool:
-    """True when the expression is finite at ``samples`` uniform points.
+def prevalidate(expr: Expression, config: FitnessConfig = FitnessConfig()) -> bool:
+    """True when the expression is finite at ``config.prevalidation_samples``
+    uniform points of its search box, drawn from ``config.base_seed``.
 
     This is the acceptance gate for LLM-proposed formulas: a candidate
     enters the population only if it survives this sweep.
     """
-    if space is None:
-        space = SearchSpace(dimension=expr.dimension)
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(space.lower, space.upper, (samples, space.dimension))
+    space = SearchSpace(dimension=expr.dimension)
+    rng = np.random.default_rng(config.base_seed)
+    X = rng.uniform(space.lower, space.upper, (config.prevalidation_samples, space.dimension))
     _, invalid = eval_program(compile_program(expr), X)
     return not invalid.any()

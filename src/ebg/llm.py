@@ -227,14 +227,35 @@ def read_jsonl(
     return items
 
 
+# what a record field's JSON value may be, by name; json.loads makes no
+# int subclass but bool, and a bool is no number here
+JSON_TYPES = {
+    "an integer": lambda value: type(value) is int,
+    "a number": lambda value: type(value) in (int, float),
+    "a number or null": lambda value: value is None or type(value) in (int, float),
+    "a string": lambda value: type(value) is str,
+    "a boolean": lambda value: type(value) is bool,
+    "a list of integers": lambda value: type(value) is list and all(type(i) is int for i in value),
+}
+
+
+def json_field(record: dict, name: str, kind: str):
+    """``record[name]``, which must be ``kind``, a key of JSON_TYPES; a
+    missing field raises KeyError, a value of another type ValueError."""
+    value = record[name]
+    if not JSON_TYPES[kind](value):
+        raise ValueError(f"{name}: must be {kind}")
+    return value
+
+
 def load_transcript(path: str | Path) -> list[TranscriptEntry]:
     return read_jsonl(
         path,
         "transcript",
         lambda raw: TranscriptEntry(
-            digest=raw["digest"],
-            prompt=raw["prompt"],
-            response=raw["response"],
+            digest=json_field(raw, "digest", "a string"),
+            prompt=json_field(raw, "prompt", "a string"),
+            response=json_field(raw, "response", "a string"),
             backend=raw.get("backend", "unknown"),
             timestamp=raw.get("timestamp", ""),
         ),
@@ -305,9 +326,11 @@ class LiveBackend:
                     self.config.endpoint_url, json=payload, headers=headers, timeout=self.timeout
                 )
                 reply.raise_for_status()
-                data = reply.json()
-                return data["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as err:
+                content = reply.json()["choices"][0]["message"]["content"]
+                if content is None or isinstance(content, str):
+                    return content or ""  # a reply with no text is an empty one
+                raise ValueError(f"message content is {type(content).__name__}, not a string")
+            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as err:
                 last_error = err
                 if attempt + 1 < self.max_retries:
                     time.sleep(min(2.0**attempt, 8.0))

@@ -334,6 +334,12 @@ def test_operator_stats_unknown_id():
         operator_stats([_event(1, "seed")], best_id=99)
 
 
+def test_operator_stats_unknown_parent_id():
+    lineage = [_event(1, "seed"), _event(2, "mutation", (99,))]
+    with pytest.raises(ValueError, match="unknown benchmark id 99"):
+        operator_stats(lineage, best_id=2)
+
+
 def test_operator_stats_tree_invariant_on_run():
     config = EngineConfig(
         population_size=4,

@@ -378,6 +378,19 @@ def test_generate_corrupt_transcript_names_file_and_line(tmp_path, capsys, line)
     assert f"{bad}:1: bad transcript record" in err
     assert "Traceback" not in err and not out.exists()
 
+
+def test_generate_transcript_response_that_is_not_a_string(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"digest": "d", "prompt": "p", "response": 3}\n')
+    out = tmp_path / "run"
+    code = main(["generate", "--config", SMOKE_CONFIG, "--out", str(out), "--replay", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read transcript: {bad}:1: bad transcript record: response: must be a string"
+    ]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -464,10 +477,10 @@ def test_evaluate_reports_the_text_it_scored(tmp_path, capsys, monkeypatch):
     source.write_text("x[0]**2\n", encoding="utf-8")
     scored = []
 
-    def rewrite_mid_run(expr, *args):
+    def rewrite_mid_run(expr, *args, **kwargs):
         scored.append(str(expr))
         source.write_text("x[1]**4\n", encoding="utf-8")
-        return evaluate_benchmark(expr, *args)
+        return evaluate_benchmark(expr, *args, **kwargs)
 
     monkeypatch.setattr(cli, "evaluate_benchmark", rewrite_mid_run)
     report = tmp_path / "evaluation.json"
@@ -762,6 +775,43 @@ def _assert_load_refused(run_dir, capsys, problem):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [f"cannot load run: {problem}"], command
+
+
+# a run-directory field of the wrong JSON type: (file, line, record, field, value, expected type)
+WRONG_TYPED_FIELD = {
+    "fitness-string": ("population.gen2.jsonl", 3, "benchmark", "fitness", "abc", "a number"),
+    "fitness-null": ("population.gen2.jsonl", 3, "benchmark", "fitness", None, "a number"),
+    "id-string": ("population.gen2.jsonl", 3, "benchmark", "id", "2", "an integer"),
+    "expression-number": ("population.gen2.jsonl", 3, "benchmark", "expression", 5, "a string"),
+    "generation-string": ("lineage.jsonl", 3, "lineage", "generation", "0", "an integer"),
+    "identical-string": ("lineage.jsonl", 3, "lineage", "identical", "no", "a boolean"),
+    "generation-created-bool": ("population.gen2.jsonl", 3, "benchmark", "generation_created", True, "an integer"),
+    "rank-term-bool": ("population.gen2.jsonl", 3, "benchmark", "rank_term", False, "a number or null"),
+    "parent-ids-floats": ("lineage.jsonl", 3, "lineage", "parent_ids", [1.0], "a list of integers"),
+}
+
+
+@pytest.mark.parametrize("name, line, what, key, value, kind", WRONG_TYPED_FIELD.values(), ids=WRONG_TYPED_FIELD)
+def test_run_record_field_of_the_wrong_type_names_file_line_and_field(
+    smoke_run, capsys, name, line, what, key, value, kind
+):
+    path = smoke_run / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: value})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_load_refused(smoke_run, capsys, f"{path}:{line}: bad {what} record: {key}: must be {kind}")
+
+
+def test_unknown_parent_on_the_best_ancestry_fails_lineage(smoke_run, capsys):
+    # the best member becomes a mutation of an id that no event created
+    best = load_run(smoke_run).best.id
+    path = smoke_run / "lineage.jsonl"
+    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    events = [{**e, "kind": "mutation", "parent_ids": [99]} if e["child_id"] == best else e for e in events]
+    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["lineage", "--run", str(smoke_run), "--out", str(smoke_run / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["lineage analysis failed: unknown benchmark id 99"]
 
 
 @pytest.mark.parametrize("name", ["config.json", "best.json"])

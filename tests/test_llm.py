@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -214,14 +215,18 @@ def test_recording_backend_round_trip(tmp_path):
     assert replay.complete("alpha") == "resp::alpha"
 
 
+def _chat_reply(content) -> dict:
+    return {"choices": [{"message": {"content": content}}]}
+
+
 class _CannedHandler(BaseHTTPRequestHandler):
+    reply = _chat_reply("Problem: f(x) = x[0]**2")
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         assert request["messages"][0]["role"] == "user"
-        body = json.dumps(
-            {"choices": [{"message": {"content": "Problem: f(x) = x[0]**2"}}]}
-        ).encode()
+        body = json.dumps(self.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -232,24 +237,38 @@ class _CannedHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_live_backend_transport():
-    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
+@contextmanager
+def _canned_endpoint(reply):
+    """The URL of a local chat endpoint that answers every request with ``reply``."""
+    server = HTTPServer(("127.0.0.1", 0), type("Handler", (_CannedHandler,), {"reply": reply}))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        backend = LiveBackend(
-            BackendConfig(
-                endpoint_url=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-                api_key="k",
-                model="m",
-            )
-        )
-        assert backend.complete("hello") == "Problem: f(x) = x[0]**2"
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_live_backend_transport():
+    with _canned_endpoint(_chat_reply("Problem: f(x) = x[0]**2")) as url:
+        backend = LiveBackend(BackendConfig(endpoint_url=url, api_key="k", model="m"))
+        assert backend.complete("hello") == "Problem: f(x) = x[0]**2"
+
+
+def test_live_backend_null_content_is_an_empty_reply():
+    with _canned_endpoint(_chat_reply(None)) as url:
+        assert LiveBackend(BackendConfig(endpoint_url=url, model="m")).complete("hello") == ""
+
+
+@pytest.mark.parametrize("reply", [_chat_reply(3), _chat_reply(["x[0]"]), {"choices": ["x[0]"]}, []])
+def test_live_backend_reply_without_string_content_is_transport_error(reply):
+    with _canned_endpoint(reply) as url:
+        backend = LiveBackend(BackendConfig(endpoint_url=url, model="m"), max_retries=1)
+        with pytest.raises(TransportError, match="after 1 attempts"):
+            backend.complete("hello")
 
 
 def test_live_backend_failure_is_transport_error():
