@@ -26,7 +26,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -40,7 +39,7 @@ from .analysis import (
     pairwise_levenshtein,
     sobol_indices,
 )
-from .config import ConfigError, build, build_block, raise_problems, read_object
+from .config import ConfigError, build, build_block, nan_as_null, problems_of, raise_problems, read_object
 from .engine import (
     ORIGIN_CROSSOVER,
     ORIGIN_INIT,
@@ -157,21 +156,13 @@ class Refused(Exception):
 
 @contextmanager
 def refusing(code: int, prefix: str, *errors: type[Exception]):
-    """Turn any of ``errors`` raised in the block into one ``prefix: error`` refusal."""
+    """Turn any of ``errors`` raised in the block into a refusal of one
+    ``prefix: problem`` line per problem: each of a ConfigError's, or
+    the error's text."""
     try:
         yield
     except errors as err:
-        raise Refused(code, f"{prefix}: {err}") from err
-
-
-@contextmanager
-def reading_config():
-    """Turn a config file's errors into one ``config error:`` line per problem."""
-    try:
-        yield
-    except (OSError, ValueError) as err:
-        problems = err.problems if isinstance(err, ConfigError) else [str(err)]
-        raise Refused(EXIT_VALIDATION, *(f"config error: {problem}" for problem in problems)) from err
+        raise Refused(code, *(f"{prefix}: {problem}" for problem in problems_of(err))) from err
 
 
 def check_output(path: Path, directory: bool) -> None:
@@ -215,7 +206,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    with reading_config():
+    with refusing(EXIT_VALIDATION, "config error", OSError, ValueError):
         env = {field: os.environ[name] for name, field in ENV_BACKEND.items() if os.environ.get(name)}
         data = override(load_config(args.config), "backend", env)
         if args.replay is not None:
@@ -224,18 +215,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
             data = {**data, "seed": args.seed}
         config, backend_config, _ = build_configs(data, str(out_dir), generate=True)
     check_output(out_dir, directory=True)
-    with refusing(EXIT_VALIDATION, "cannot read transcript", OSError, ValueError, KeyError):
+    with refusing(EXIT_VALIDATION, "cannot read transcript", OSError, ValueError):
         backend = build_backend(backend_config, out_dir)
     with refusing(EXIT_RUNTIME, "run aborted", EngineAbort, TranscriptMissError, TransportError):
         record = run(config, backend)
-    print(f"best expression: {record.best.text}")
+    print(f"best expression: {record.best.expression}")
     print(f"best fitness: {record.best.fitness:.10g}")
     print(f"run directory: {out_dir}")
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with reading_config():
+    with refusing(EXIT_VALIDATION, "config error", OSError, ValueError):
         data = load_config(args.config)
         if args.seed is not None:
             data = override(data, "fitness", {"base_seed": args.seed})
@@ -257,25 +248,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload = {
         "expression": text,
         "fitness": evaluation.fitness,
-        "rank_term": None if math.isnan(evaluation.rank_term) else evaluation.rank_term,
-        "penalty_term": None if math.isnan(evaluation.penalty_term) else evaluation.penalty_term,
+        "rank_term": evaluation.rank_term,
+        "penalty_term": evaluation.penalty_term,
         "any_invalid": evaluation.any_invalid,
         "trials": fitness_config.trials,
         a1: list(evaluation.a1_best),
         a2: list(evaluation.a2_best),
     }
-    write_json(out, payload)
+    write_json(out, nan_as_null(payload.items()))
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with reading_config():
+    with refusing(EXIT_VALIDATION, "config error", OSError, ValueError):
         config, _, analysis = build_configs(load_config(args.config))
     out_dir = Path(args.out)
     check_output(out_dir, directory=True)
     if args.run is not None:
         record = read_run(args.run)
-        expr, text = record.best.expression, record.best.text
+        text = record.best.expression
+        expr = parse(text, record.config.dimension)
     else:
         text, expr = read_expression(args.expr, None, config.dimension)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,7 +293,7 @@ def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
         for benchmark in population:
             individuals.setdefault(benchmark.id, benchmark)
     ids = sorted(individuals)
-    texts = [individuals[i].text for i in ids]
+    texts = [individuals[i].expression for i in ids]
 
     distances = pairwise_levenshtein(texts)
     with open(out_dir / "distances.csv", "w", newline="", encoding="utf-8") as handle:

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import build, raise_problems, read_object
+from .config import NanFloat, raise_problems, read_jsonl, read_record, to_record
 from .expressions import Binary, Constant, Expression, Variable, parse, render
 from .fitness import BenchmarkEvaluation, FitnessConfig, evaluate_benchmark, prevalidate
 from .llm import (
@@ -46,8 +45,6 @@ from .llm import (
     TranscriptMissError,
     TransportError,
     generate_offspring,
-    json_field,
-    read_jsonl,
 )
 from .optimizers import DeConfig, GaConfig
 
@@ -98,14 +95,14 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One individual: an expression plus its evaluated fitness."""
+    """One individual: its rendered expression and its evaluated fitness,
+    as one line of a population snapshot holds them."""
 
     id: int
-    expression: Expression
-    text: str
+    expression: str
     fitness: float
-    rank_term: float
-    penalty_term: float
+    rank_term: NanFloat
+    penalty_term: NanFloat
     any_invalid: bool
     origin: str
     parent_ids: tuple[int, ...]
@@ -129,6 +126,26 @@ class LineageEvent:
     attempts: int
     identical: bool
     generation: int
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """The run summary, ``best.json``, whose write commits a generation.
+
+    ``load_run`` reads only its counts; the best member and its trace
+    are derived from the snapshots.
+    """
+
+    best: Benchmark
+    best_fitness_per_generation: tuple[float, ...]
+    generations_completed: int
+    evaluated_benchmarks: int
+    inner_trials_total: int
+    aborted: bool
+
+    def __post_init__(self) -> None:
+        if self.generations_completed < 1:
+            raise_problems(["generations_completed: must be >= 1"])
 
 
 @dataclass
@@ -214,8 +231,7 @@ def _admit(
     evaluation = _evaluate(record, expr, text)
     benchmark = Benchmark(
         id=record.take_id(),
-        expression=expr,
-        text=text,
+        expression=text,
         fitness=evaluation.fitness,
         rank_term=evaluation.rank_term,
         penalty_term=evaluation.penalty_term,
@@ -258,7 +274,7 @@ def _breed(
         dimension=config.dimension,
         a1=config.fitness.a1,
         a2=config.fitness.a2,
-        examples=tuple(parent.text for parent in parents),
+        examples=tuple(parent.expression for parent in parents),
     )
     try:
         result = generate_offspring(
@@ -336,55 +352,6 @@ def step_generation(
 # ------------------------------------------------------------- persistence
 
 
-def _float_field(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
-
-def benchmark_to_record(benchmark: Benchmark) -> dict:
-    return {
-        "id": benchmark.id,
-        "expression": benchmark.text,
-        "fitness": benchmark.fitness,
-        "rank_term": _float_field(benchmark.rank_term),
-        "penalty_term": _float_field(benchmark.penalty_term),
-        "any_invalid": benchmark.any_invalid,
-        "origin": benchmark.origin,
-        "parent_ids": list(benchmark.parent_ids),
-        "generation_created": benchmark.generation_created,
-    }
-
-
-def benchmark_from_record(record: dict, dimension: int) -> Benchmark:
-    def number_or_nan(name: str) -> float:
-        value = json_field(record, name, "a number or null")
-        return float("nan") if value is None else value
-
-    text = json_field(record, "expression", "a string")
-    return Benchmark(
-        id=json_field(record, "id", "an integer"),
-        expression=parse(text, dimension),
-        text=text,
-        fitness=json_field(record, "fitness", "a number"),
-        rank_term=number_or_nan("rank_term"),
-        penalty_term=number_or_nan("penalty_term"),
-        any_invalid=json_field(record, "any_invalid", "a boolean"),
-        origin=json_field(record, "origin", "a string"),
-        parent_ids=tuple(json_field(record, "parent_ids", "a list of integers")),
-        generation_created=json_field(record, "generation_created", "an integer"),
-    )
-
-
-def event_from_record(record: dict) -> LineageEvent:
-    return LineageEvent(
-        child_id=json_field(record, "child_id", "an integer"),
-        kind=json_field(record, "kind", "a string"),
-        parent_ids=tuple(json_field(record, "parent_ids", "a list of integers")),
-        attempts=json_field(record, "attempts", "an integer"),
-        identical=json_field(record, "identical", "a boolean"),
-        generation=json_field(record, "generation", "an integer"),
-    )
-
-
 def snapshot_filename(generation: int) -> str:
     return f"population.gen{generation}.jsonl"
 
@@ -420,25 +387,25 @@ def _open_run_directory(config: EngineConfig) -> Path | None:
 
 
 def _write_best(out: Path, record: RunRecord, aborted: bool) -> None:
-    payload = {
-        "best": benchmark_to_record(record.best),
-        "best_fitness_per_generation": record.best_per_generation,
-        "generations_completed": len(record.populations),
-        "evaluated_benchmarks": record.evaluated_benchmarks,
-        "inner_trials_total": record.inner_trials_total,
-        "aborted": aborted,
-    }
-    _write_atomic(out / BEST_FILE, json.dumps(payload, indent=2) + "\n")
+    summary = RunSummary(
+        best=record.best,
+        best_fitness_per_generation=tuple(record.best_per_generation),
+        generations_completed=len(record.populations),
+        evaluated_benchmarks=record.evaluated_benchmarks,
+        inner_trials_total=record.inner_trials_total,
+        aborted=aborted,
+    )
+    _write_atomic(out / BEST_FILE, json.dumps(to_record(summary), indent=2) + "\n")
 
 
 def _commit_generation(out: Path, record: RunRecord, events: list[LineageEvent]) -> None:
     """Write the newest generation: its snapshot, atomically; its lineage
     ``events``, in one append; then the summary, which commits both."""
     population = record.populations[-1]
-    lines = [json.dumps(benchmark_to_record(b)) for b in population]
+    lines = [json.dumps(to_record(b)) for b in population]
     _write_atomic(out / snapshot_filename(len(record.populations) - 1), "\n".join(lines) + "\n")
     with open(out / LINEAGE_FILE, "a", encoding="utf-8") as handle:
-        handle.write("".join(json.dumps(dataclasses.asdict(event)) + "\n" for event in events))
+        handle.write("".join(json.dumps(to_record(event)) + "\n" for event in events))
     _write_best(out, record, aborted=False)
 
 
@@ -477,32 +444,12 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
 
 def load_lineage(path: str | Path) -> list[LineageEvent]:
     # the log is appended to, so a crash can leave its last line torn
-    return read_jsonl(path, "lineage", event_from_record, torn_tail=True)
+    return read_jsonl(path, "lineage", LineageEvent, torn_tail=True)
 
 
 def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
-    return read_jsonl(path, "benchmark", lambda record: benchmark_from_record(record, dimension))
-
-
-def _summary_counters(path: Path) -> tuple[int, int, int]:
-    """The summary's generation, evaluation and trial counts.
-
-    Every count that is missing or not an integer is a problem named
-    for the file, and all of them are raised together.
-    """
-    summary = read_object(path)
-    keys = ("generations_completed", "evaluated_benchmarks", "inner_trials_total")
-    problems = []
-    for key in keys:
-        value = summary.get(key)
-        if key not in summary:
-            problems.append(f"{path}: {key}: missing")
-        elif key == "generations_completed" and (type(value) is not int or value < 1):
-            problems.append(f"{path}: {key}: must be an integer >= 1, not {value!r} completed generations")
-        elif type(value) is not int:  # a bool is no count
-            problems.append(f"{path}: {key}: must be an integer")
-    raise_problems(problems)
-    return tuple(summary[key] for key in keys)
+    # a member whose expression does not parse is a bad line too
+    return read_jsonl(path, "benchmark", Benchmark, check=lambda b: parse(b.expression, dimension))
 
 
 def load_run(directory: str | Path) -> RunRecord:
@@ -515,12 +462,18 @@ def load_run(directory: str | Path) -> RunRecord:
     A higher-numbered snapshot or a later event, whose summary write
     never landed, is not part of the run and is ignored, and so is a
     torn final lineage line.  Of the summary only its counts are read;
-    the best member and its trace come from the snapshots.
+    the best member and its trace come from the snapshots.  A problem of
+    ``config.json`` or of the summary names its file.
     """
     out = Path(directory)
-    config = build(EngineConfig, read_object(out / CONFIG_FILE))
-    completed, evaluated, trials = _summary_counters(out / BEST_FILE)
-    record = RunRecord(config, evaluated_benchmarks=evaluated, inner_trials_total=trials)
+    config = read_record(EngineConfig, out / CONFIG_FILE)
+    summary = read_record(RunSummary, out / BEST_FILE)
+    record = RunRecord(
+        config,
+        evaluated_benchmarks=summary.evaluated_benchmarks,
+        inner_trials_total=summary.inner_trials_total,
+    )
+    completed = summary.generations_completed
     for generation in range(completed):
         path = out / snapshot_filename(generation)
         population = load_population(path, config.dimension)

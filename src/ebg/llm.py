@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .config import raise_problems
+from .config import raise_problems, read_jsonl, to_record
 from .expressions import (
     DimensionError,
     Expression,
@@ -197,69 +197,18 @@ class ChatBackend(Protocol):
 
 @dataclass(frozen=True)
 class TranscriptEntry:
+    """One line of a transcript: a prompt, keyed by its digest, and the
+    response it got."""
+
     digest: str
     prompt: str
     response: str
-    backend: str
-    timestamp: str
-
-
-def read_jsonl(
-    path: str | Path, what: str, decode: Callable[[dict], object], torn_tail: bool = False
-) -> list:
-    """Decode every non-blank line of a JSONL file; a line that is not
-    a JSON record ``decode`` accepts raises ValueError naming ``path:line``.
-
-    With ``torn_tail``, a final line that lacks its newline and does not
-    decode is an append that was cut short, and is skipped.
-    """
-    items = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(decode(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
-                if torn_tail and not line.endswith("\n"):  # only the last line can lack it
-                    break
-                raise ValueError(f"{path}:{number}: bad {what} record: {err}") from err
-    return items
-
-
-# what a record field's JSON value may be, by name; json.loads makes no
-# int subclass but bool, and a bool is no number here
-JSON_TYPES = {
-    "an integer": lambda value: type(value) is int,
-    "a number": lambda value: type(value) in (int, float),
-    "a number or null": lambda value: value is None or type(value) in (int, float),
-    "a string": lambda value: type(value) is str,
-    "a boolean": lambda value: type(value) is bool,
-    "a list of integers": lambda value: type(value) is list and all(type(i) is int for i in value),
-}
-
-
-def json_field(record: dict, name: str, kind: str):
-    """``record[name]``, which must be ``kind``, a key of JSON_TYPES; a
-    missing field raises KeyError, a value of another type ValueError."""
-    value = record[name]
-    if not JSON_TYPES[kind](value):
-        raise ValueError(f"{name}: must be {kind}")
-    return value
+    backend: str = "unknown"
+    timestamp: str = ""
 
 
 def load_transcript(path: str | Path) -> list[TranscriptEntry]:
-    return read_jsonl(
-        path,
-        "transcript",
-        lambda raw: TranscriptEntry(
-            digest=json_field(raw, "digest", "a string"),
-            prompt=json_field(raw, "prompt", "a string"),
-            response=json_field(raw, "response", "a string"),
-            backend=raw.get("backend", "unknown"),
-            timestamp=raw.get("timestamp", ""),
-        ),
-    )
+    return read_jsonl(path, "transcript", TranscriptEntry)
 
 
 BACKEND_MODES = ("live", "replay", "record")
@@ -391,7 +340,7 @@ class RecordingBackend:
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry.__dict__) + "\n")
+            handle.write(json.dumps(to_record(entry)) + "\n")
         return response
 
 

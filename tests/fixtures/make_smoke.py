@@ -94,7 +94,7 @@ def main() -> int:
     else:
         transcript.write_text(text, encoding="utf-8")
         print(f"recorded {exchanges} exchanges -> {transcript}")
-    print(f"best: {record.best.text}  fitness {record.best.fitness:.6f}")
+    print(f"best: {record.best.expression}  fitness {record.best.fitness:.6f}")
     print(json.dumps(record.best_per_generation))
     if differences:
         print(f"replay differs from the recorded run in: {', '.join(differences)}", file=sys.stderr)

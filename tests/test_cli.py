@@ -379,6 +379,18 @@ def test_generate_corrupt_transcript_names_file_and_line(tmp_path, capsys, line)
     assert "Traceback" not in err and not out.exists()
 
 
+def test_generate_transcript_line_that_is_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("3\n")
+    out = tmp_path / "run"
+    code = main(["generate", "--config", SMOKE_CONFIG, "--out", str(out), "--replay", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"cannot read transcript: {bad}:1: bad transcript record: must be an object"
+    ]
+    assert not out.exists()
+
+
 def test_generate_transcript_response_that_is_not_a_string(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"digest": "d", "prompt": "p", "response": 3}\n')
@@ -578,7 +590,7 @@ def test_analyze_run_directory_targets_best(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     sobol = json.loads((analysis_dir / "sobol.json").read_text())
     record = load_run(out)
-    assert sobol["expression"] == record.best.text
+    assert sobol["expression"] == record.best.expression
     assert len(sobol["first_order"]) == 5
 
 
@@ -640,7 +652,7 @@ def test_lineage_outputs_structure(smoke_run, capsys):
 
 def test_lineage_distances_match_full_table(smoke_run):
     assert main(["lineage", "--run", str(smoke_run)]) == 0
-    texts = {b.id: b.text for pop in load_run(smoke_run).populations for b in pop}
+    texts = {b.id: b.expression for pop in load_run(smoke_run).populations for b in pop}
     rows = (smoke_run / "distances.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == len(texts) * (len(texts) - 1) // 2
     for row in rows:
@@ -727,7 +739,14 @@ def test_run_directory_with_stale_snapshots(smoke_run, command):
 
 @pytest.mark.parametrize(
     "completed, cause",
-    [(4, "population.gen3.jsonl"), (0, "0 completed"), ("2", "'2' completed"), (True, "True completed")],
+    [
+        (4, "population.gen3.jsonl"),
+        (0, "generations_completed: must be >= 1"),
+        ("2", "generations_completed: must be an integer"),
+        (True, "generations_completed: must be an integer"),
+    ],
+    # each case is named for the count of completed generations it claims
+    ids=["4-population.gen3.jsonl", "0-0 completed", "2-'2' completed", "True-True completed"],
 )
 @pytest.mark.parametrize("command", ["lineage", "analyze"])
 def test_run_directory_missing_committed_snapshot(smoke_run, capsys, command, completed, cause):
@@ -753,9 +772,43 @@ def test_run_summary_count_problem_names_the_file(smoke_run, capsys, key, value,
     else:
         summary[key] = value
     path.write_text(json.dumps(summary))
-    if key == "generations_completed" and value is not None:
-        problem = f"must be an integer >= 1, not {value!r} completed generations"
     _assert_load_refused(smoke_run, capsys, f"{path}: {key}: {problem}")
+
+
+def test_run_summary_problems_are_one_line_each(smoke_run, capsys):
+    path = smoke_run / "best.json"
+    summary = json.loads(path.read_text())
+    del summary["evaluated_benchmarks"]
+    path.write_text(json.dumps({**summary, "inner_trials_total": "3"}))
+    _assert_load_refused(
+        smoke_run, capsys, f"{path}: inner_trials_total: must be an integer", f"{path}: evaluated_benchmarks: missing"
+    )
+
+
+def test_run_config_problems_name_the_file_one_line_each(smoke_run, capsys):
+    path = smoke_run / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "population_size": 1, "foo": 1}))
+    _assert_load_refused(
+        smoke_run, capsys, f"{path}: population_size: must be >= 2", f"{path}: foo: unknown key"
+    )
+
+
+def test_run_record_missing_field_is_named(smoke_run, capsys):
+    path = smoke_run / "population.gen1.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    del record["id"]
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    _assert_load_refused(smoke_run, capsys, f"{path}:3: bad benchmark record: id: missing")
+
+
+def test_run_record_line_that_is_not_an_object(smoke_run, capsys):
+    path = smoke_run / "lineage.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = "[1, 2]"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_load_refused(smoke_run, capsys, f"{path}:3: bad lineage record: must be an object")
 
 
 @pytest.mark.parametrize("kept", [0, 2])
@@ -766,7 +819,7 @@ def test_run_directory_short_committed_snapshot(smoke_run, capsys, kept):
     _assert_load_refused(smoke_run, capsys, f"{path}: holds {kept} benchmarks; population_size is 4")
 
 
-def _assert_load_refused(run_dir, capsys, problem):
+def _assert_load_refused(run_dir, capsys, *problems):
     # neither command writes anything before it has loaded the run
     for command in ("lineage", "analyze"):
         capsys.readouterr()
@@ -774,7 +827,7 @@ def _assert_load_refused(run_dir, capsys, problem):
         assert code == 1, command
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines() == [f"cannot load run: {problem}"], command
+        assert err.splitlines() == [f"cannot load run: {problem}" for problem in problems], command
 
 
 # a run-directory field of the wrong JSON type: (file, line, record, field, value, expected type)

@@ -3,19 +3,20 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ebg.config import ConfigError, build
+from ebg.config import ConfigError, build, to_record
 from ebg.engine import (
     Benchmark,
     EngineAbort,
     EngineConfig,
     LineageEvent,
     RunRecord,
-    benchmark_to_record,
+    RunSummary,
     initialize_population,
     load_run,
     run,
@@ -29,6 +30,7 @@ from ebg.llm import (
     RecordingBackend,
     ReplayBackend,
     RetryPolicy,
+    TranscriptEntry,
     TranscriptMissError,
     TransportError,
 )
@@ -61,11 +63,9 @@ class EchoBackend:
 
 
 def _bench(bid: int, fitness: float) -> Benchmark:
-    expr = seed_expression(1)
     return Benchmark(
         id=bid,
-        expression=expr,
-        text=render(expr),
+        expression=render(seed_expression(1)),
         fitness=fitness,
         rank_term=fitness,
         penalty_term=0.0,
@@ -148,7 +148,7 @@ def test_build_engine_config_lists_every_problem():
         "dimension: must be >= 1",
         "fitness.alpha: must be >= 0",
         "fitness.trials: must be >= 1",
-        "ga.population: must be a number",
+        "ga.population: must be an integer",
         "population_size: must be >= 2",
         "workers: unknown key",
     ]
@@ -157,6 +157,52 @@ def test_build_engine_config_lists_every_problem():
 def test_config_dict_round_trip(tmp_path):
     config = tiny_config(seed=7, output_dir=str(tmp_path))
     assert build(EngineConfig, dataclasses.asdict(config)) == config
+
+
+# (record, a field to delete, a field to give a wrong value, that value,
+# and what it must be)
+RECORDS = {
+    "benchmark": (_bench(3, 0.25), "id", "parent_ids", [1.5], "a list of integers"),
+    "benchmark-nan-terms": (
+        dataclasses.replace(_bench(4, 1e6), rank_term=math.nan, penalty_term=math.nan, any_invalid=True),
+        "expression",
+        "rank_term",
+        "0.5",
+        "a number or null",
+    ),
+    "lineage": (
+        LineageEvent(child_id=5, kind="crossover", parent_ids=(1, 2), attempts=3, identical=False, generation=1),
+        "kind",
+        "identical",
+        0,
+        "a boolean",
+    ),
+    "transcript": (TranscriptEntry("d", "p", "r", "live", "2024-01-01"), "response", "prompt", None, "a string"),
+    "summary": (
+        RunSummary(_bench(2, 0.5), (0.75, 0.5), 2, 9, 36, False),
+        "aborted",
+        "best_fitness_per_generation",
+        [0.75, True],
+        "a list of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("record, missing, wrong, value, kind", RECORDS.values(), ids=RECORDS)
+def test_record_round_trip_and_problems(record, missing, wrong, value, kind):
+    cls = type(record)
+    data = json.loads(json.dumps(to_record(record)))
+    assert list(data) == [f.name for f in dataclasses.fields(cls)]
+    # repr shows NaN, and tells a tuple from a list and 1 from 1.0
+    assert repr(build(cls, data)) == repr(record)
+    with pytest.raises(ConfigError) as caught:
+        build(cls, {**{k: v for k, v in data.items() if k != missing}, wrong: value, "foo": 1})
+    assert sorted(caught.value.problems) == sorted(
+        [f"{missing}: missing", f"{wrong}: must be {kind}", "foo: unknown key"]
+    )
+    with pytest.raises(ConfigError) as caught:
+        build(cls, [data])
+    assert caught.value.problems == ("must be an object",)
 
 
 # ---------------------------------------------------------- initialization
@@ -168,7 +214,7 @@ def test_initialize_population_seed_and_conditioning():
     record = RunRecord(config)
     population = initialize_population(record, backend)
     assert len(population) == 4
-    assert population[0].text == "x[0] + x[1]**2 + x[2]**3"
+    assert population[0].expression == "x[0] + x[1]**2 + x[2]**3"
     assert population[0].origin == "seed"
     assert [b.origin for b in population[1:]] == ["init_llm"] * 3
     assert [b.id for b in population] == [1, 2, 3, 4]
@@ -297,15 +343,15 @@ def test_run_persists_and_reloads(tmp_path):
     loaded = load_run(out)
     assert loaded.config == config
     assert loaded.best_per_generation == record.best_per_generation
-    assert loaded.best.text == record.best.text
+    assert loaded.best.expression == record.best.expression
     assert loaded.evaluated_benchmarks == record.evaluated_benchmarks
     assert loaded.inner_trials_total == record.inner_trials_total
     assert [[b.id for b in pop] for pop in loaded.populations] == [
         [b.id for b in pop] for pop in record.populations
     ]
     # every member as its snapshot line holds it: a NaN term is null there
-    assert [[benchmark_to_record(b) for b in pop] for pop in loaded.populations] == [
-        [benchmark_to_record(b) for b in pop] for pop in record.populations
+    assert [[to_record(b) for b in pop] for pop in loaded.populations] == [
+        [to_record(b) for b in pop] for pop in record.populations
     ]
     assert loaded.lineage == record.lineage
     summary = json.loads((out / "best.json").read_text())
