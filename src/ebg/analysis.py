@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import raise_problems
-from .engine import ORIGIN_CROSSOVER, ORIGIN_MUTATION, LineageEvent
+from .engine import ORIGIN_CROSSOVER, ORIGIN_MUTATION, Benchmark
 from .expressions import Expression, evaluate
 from .kernels import compile_program, eval_program
 from .optimizers import SearchSpace
@@ -321,17 +321,17 @@ class OperatorStats:
     ratio_defined: bool
 
 
-def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
+def operator_stats(lineage: list[Benchmark], best_id: int) -> OperatorStats:
     """Ancestry counts for one individual.
 
-    Walks parent edges of crossover and mutation events only; seed and
-    initialization members are terminal ancestors.  Events whose
-    offspring text was identical to a prompt example are excluded from
-    the operation counts, matching how lineage statistics discount
-    no-op generations, though their edges are still traversed.  An id
-    on the walk that no event created raises ValueError.
+    Walks the parent edges of crossover and mutation children of the
+    ledger ``lineage`` only; seed and initialization members are terminal
+    ancestors.  Children whose text was identical to a prompt example are
+    excluded from the operation counts, matching how lineage statistics
+    discount no-op generations, though their edges are still traversed.
+    An id on the walk that no ledger record holds raises ValueError.
     """
-    events = {event.child_id: event for event in lineage}
+    children = {child.id: child for child in lineage}
     visited: set[int] = set()
     frontier = [best_id]
     crossover = 0
@@ -340,18 +340,18 @@ def operator_stats(lineage: list[LineageEvent], best_id: int) -> OperatorStats:
         node = frontier.pop()
         if node in visited:
             continue
-        if node not in events:
+        if node not in children:
             raise ValueError(f"unknown benchmark id {node}")
         visited.add(node)
-        event = events[node]
-        if event.kind not in (ORIGIN_CROSSOVER, ORIGIN_MUTATION):
+        child = children[node]
+        if child.origin not in (ORIGIN_CROSSOVER, ORIGIN_MUTATION):
             continue
-        if not event.identical:
-            if event.kind == ORIGIN_CROSSOVER:
+        if not child.identical:
+            if child.origin == ORIGIN_CROSSOVER:
                 crossover += 1
             else:
                 mutation += 1
-        frontier.extend(event.parent_ids)
+        frontier.extend(child.parent_ids)
     operations = crossover + mutation
     return OperatorStats(
         individuals=len(visited),

@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -200,7 +201,8 @@ def read_run(directory: str) -> RunRecord:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # a NaN or an infinity raises ValueError rather than write a literal that is not JSON
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -252,8 +254,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "penalty_term": evaluation.penalty_term,
         "any_invalid": evaluation.any_invalid,
         "trials": fitness_config.trials,
-        a1: list(evaluation.a1_best),
-        a2: list(evaluation.a2_best),
+        # an invalid trial's best is NaN, written as null like the terms
+        a1: [None if math.isnan(v) else v for v in evaluation.a1_best],
+        a2: [None if math.isnan(v) else v for v in evaluation.a2_best],
     }
     write_json(out, nan_as_null(payload.items()))
     return EXIT_OK
@@ -288,12 +291,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
-    individuals: dict[int, object] = {}
-    for population in record.populations:
-        for benchmark in population:
-            individuals.setdefault(benchmark.id, benchmark)
-    ids = sorted(individuals)
-    texts = [individuals[i].expression for i in ids]
+    survivors = {benchmark.id for population in record.populations for benchmark in population}
+    members = [child for child in record.lineage if child.id in survivors]
+    ids = [child.id for child in members]
+    texts = [child.expression for child in members]
 
     distances = pairwise_levenshtein(texts)
     with open(out_dir / "distances.csv", "w", newline="", encoding="utf-8") as handle:
@@ -316,16 +317,16 @@ def write_lineage_outputs(record: RunRecord, out_dir: Path) -> None:
 
     styles = {ORIGIN_CROSSOVER: "solid", ORIGIN_MUTATION: "dashed", ORIGIN_INIT: "dotted"}
     lines = ["digraph lineage {", "  node [shape=box];"]
-    for event in record.lineage:
-        known = individuals.get(event.child_id)
-        label = str(event.child_id) if known is None else f"{event.child_id}\\n{known.fitness:.4g}"
-        lines.append(f'  b{event.child_id} [label="{label}"];')
-    for event in record.lineage:
-        style = styles.get(event.kind)
+    # a child that never survived is labelled by its id alone
+    for child in record.lineage:
+        label = f"{child.id}\\n{child.fitness:.4g}" if child.id in survivors else str(child.id)
+        lines.append(f'  b{child.id} [label="{label}"];')
+    for child in record.lineage:
+        style = styles.get(child.origin)
         if style is None:
             continue
-        for parent in event.parent_ids:
-            lines.append(f"  b{parent} -> b{event.child_id} [style={style}];")
+        for parent in child.parent_ids:
+            lines.append(f"  b{parent} -> b{child.id} [style={style}];")
     lines.append("}")
     (out_dir / "lineage.dot").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

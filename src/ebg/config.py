@@ -10,18 +10,20 @@ A run's records are frozen dataclasses too: a population snapshot line,
 a lineage line, a transcript line and the run summary.  :func:`build`
 is the only code that walks a JSON object's plain data, whether it
 holds a config or a record, and :func:`to_record` is the only writer of
-a record.  The run files' one convention is that a NaN number is
-written as null, and a null ``NanFloat`` field reads back as NaN.
+a record.  Every number read is finite, and every file is written with
+``allow_nan=False``: a NaN is written as null, and a null ``NanFloat``
+field reads back as NaN.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import re
+import sys
 import typing
+from functools import cache
 from pathlib import Path
 from typing import Annotated
 
@@ -66,25 +68,28 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _finite(value) -> bool:
+    # json.loads reads NaN, which passes every range check, and infinities
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 # what a field's plain value may be, by the field's annotation, and what
 # a problem says it must be; a bool is neither an integer nor a number
 KINDS = {
     int: (_integer, "an integer"),
-    float: (_number, "a number"),
-    NanFloat: (lambda value: value is None or _number(value), "a number or null"),
+    float: (_finite, "a finite number"),
+    NanFloat: (lambda value: value is None or _finite(value), "a finite number or null"),
     str: (lambda value: isinstance(value, str), "a string"),
     str | None: (lambda value: value is None or isinstance(value, str), "a string"),
     bool: (lambda value: isinstance(value, bool), "a boolean"),
     tuple[int, ...]: (lambda value: isinstance(value, list) and all(map(_integer, value)), "a list of integers"),
-    tuple[float, ...]: (lambda value: isinstance(value, list) and all(map(_number, value)), "a list of numbers"),
+    tuple[float, ...]: (
+        lambda value: isinstance(value, list) and all(map(_finite, value)), "a list of finite numbers"
+    ),
 }
 
 
-@functools.cache
+@cache
 def _fields(cls) -> tuple[dict, tuple[str, ...]]:
     """The annotation of each field of dataclass ``cls``, and the names
     of the fields that have no default, in field order."""
@@ -103,7 +108,7 @@ def build(cls, data):
     The declared type of each field decides what its value may be (see
     KINDS): a field typed as a dataclass is a nested block, built from
     the matching sub-dict; an ``int`` field takes an integer and a
-    ``float`` field any number, and neither takes a bool; a ``str``
+    ``float`` field a finite number, and neither takes a bool; a ``str``
     field takes a string, and a ``str | None`` field a string or null; a
     tuple field takes a list; a ``NanFloat`` field reads null as NaN.
     Missing keys keep their defaults, and a missing field that has none

@@ -10,18 +10,19 @@ offspring by ascending fitness, ties broken toward older individuals.
 
 Every LLM-made individual, at initialization or later, takes one path,
 ``_breed``: prompt with its parents, generate and pre-validate, charge
-exhausted attempts to the run-wide budget, evaluate and log the child.
+exhausted attempts to the run-wide budget, evaluate the child unless the
+ledger holds its text, and add it to the ledger.
 
 A run writes a directory: the config snapshot when it starts, then one
-commit per completed generation (its population file, its lineage
-events, and the best-so-far summary that commits both).  Opening a
-directory clears what an earlier run wrote there, except a transcript.
-Given the same config, seed, and a recorded transcript, a run
-reproduces byte-identically.
+commit per completed generation (its population file, its children's
+ledger lines, and the summary that commits both).  Opening a directory
+clears what an earlier run wrote there, except a transcript.  Given the
+same config, seed, and a recorded transcript, a run reproduces
+byte-identically.
 
 One ``RunRecord`` holds a run, whether ``run`` builds it or
-``load_run`` reads it back; its best member is derived from its
-population snapshots, never stored beside them.
+``load_run`` reads it back; everything but its populations, its ledger
+and its failed attempts is derived from them, never stored beside them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import NanFloat, raise_problems, read_jsonl, read_record, to_record
 from .expressions import Binary, Constant, Expression, Variable, parse, render
-from .fitness import BenchmarkEvaluation, FitnessConfig, evaluate_benchmark, prevalidate
+from .fitness import FitnessConfig, evaluate_benchmark, prevalidate
 from .llm import (
     AttemptsExhausted,
     ChatBackend,
@@ -95,8 +96,15 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One individual: its rendered expression and its evaluated fitness,
-    as one line of a population snapshot holds them."""
+    """One individual, as a snapshot line, a ledger line and the summary's
+    best all hold it: its rendered expression, its fitness, and its making.
+
+    ``parent_ids`` are the ids whose rendered text appeared in the
+    prompt: both parents for crossover, one for mutation, and every
+    in-context example for conditioned initialization.  ``attempts``
+    counts the LLM replies it took, and ``identical`` marks a text equal
+    to a prompt example; the seed has none of these.
+    """
 
     id: int
     expression: str
@@ -107,33 +115,16 @@ class Benchmark:
     origin: str
     parent_ids: tuple[int, ...]
     generation_created: int
-
-
-@dataclass(frozen=True)
-class LineageEvent:
-    """Creation record for one individual.
-
-    ``parent_ids`` are the ids whose rendered text appeared in the
-    prompt: both parents for crossover, one for mutation, and every
-    in-context example for conditioned initialization.  The seed has
-    none.  ``identical`` marks offspring whose text equals one of the
-    prompt examples.
-    """
-
-    child_id: int
-    kind: str
-    parent_ids: tuple[int, ...]
     attempts: int
     identical: bool
-    generation: int
 
 
 @dataclass(frozen=True)
 class RunSummary:
     """The run summary, ``best.json``, whose write commits a generation.
 
-    ``load_run`` reads only its counts; the best member and its trace
-    are derived from the snapshots.
+    ``load_run`` keeps only its generation count and ``failed_attempts``;
+    the rest is derived from the snapshots and the ledger.
     """
 
     best: Benchmark
@@ -141,6 +132,7 @@ class RunSummary:
     generations_completed: int
     evaluated_benchmarks: int
     inner_trials_total: int
+    failed_attempts: int
     aborted: bool
 
     def __post_init__(self) -> None:
@@ -153,20 +145,16 @@ class RunRecord:
     """One run: what ``run`` builds as it goes and ``load_run`` returns.
 
     ``populations`` holds one snapshot per completed generation; the best
-    member and the per-generation best fitness are read from them.  The
-    id counter, the per-text evaluation cache and the failed-attempt
-    budget are the live engine's bookkeeping; a loaded run keeps their
-    defaults, because no run file holds them yet.
+    member and the per-generation best fitness are read from them.
+    ``lineage`` is the ledger: every admitted child in id order,
+    survivors or not, whose distinct texts are the evaluations.
+    ``failed_attempts``, the run-wide budget spent, no record derives.
     """
 
     config: EngineConfig
     populations: list[list[Benchmark]] = field(default_factory=list)
-    lineage: list[LineageEvent] = field(default_factory=list)
-    evaluated_benchmarks: int = 0
-    inner_trials_total: int = 0
-    next_id: int = 1
+    lineage: list[Benchmark] = field(default_factory=list)
     failed_attempts: int = 0
-    cache: dict[str, BenchmarkEvaluation] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def best(self) -> Benchmark:
@@ -176,10 +164,13 @@ class RunRecord:
     def best_per_generation(self) -> list[float]:
         return [_best_of(population).fitness for population in self.populations]
 
-    def take_id(self) -> int:
-        out = self.next_id
-        self.next_id += 1
-        return out
+    @property
+    def evaluated_benchmarks(self) -> int:
+        return len({child.expression for child in self.lineage})
+
+    @property
+    def inner_trials_total(self) -> int:
+        return 2 * self.config.fitness.trials * self.evaluated_benchmarks
 
 
 def _best_of(population: list[Benchmark]) -> Benchmark:
@@ -204,18 +195,6 @@ def seed_expression(dimension: int) -> Expression:
     return Expression(root=root, dimension=dimension)
 
 
-def _evaluate(record: RunRecord, expr: Expression, text: str) -> BenchmarkEvaluation:
-    cached = record.cache.get(text)
-    if cached is not None:
-        return cached
-    config = record.config
-    evaluation = evaluate_benchmark(expr, config.fitness, ga_config=config.ga, de_config=config.de)
-    record.cache[text] = evaluation
-    record.evaluated_benchmarks += 1
-    record.inner_trials_total += len(evaluation.a1_best) + len(evaluation.a2_best)
-    return evaluation
-
-
 def _admit(
     record: RunRecord,
     expr: Expression,
@@ -225,31 +204,28 @@ def _admit(
     attempts: int = 0,
     identical: bool = False,
 ) -> Benchmark:
-    """Evaluate ``expr``, give it the next id, and log its creation."""
-    parent_ids = tuple(parent.id for parent in parents)
+    """Evaluate ``expr``, give it the next id, and add it to the ledger.
+
+    A text the ledger holds takes the terms of its first record there."""
     text = render(expr)
-    evaluation = _evaluate(record, expr, text)
+    terms = next((child for child in record.lineage if child.expression == text), None)
+    if terms is None:
+        config = record.config
+        terms = evaluate_benchmark(expr, config.fitness, ga_config=config.ga, de_config=config.de)
     benchmark = Benchmark(
-        id=record.take_id(),
+        id=max((child.id for child in record.lineage), default=0) + 1,
         expression=text,
-        fitness=evaluation.fitness,
-        rank_term=evaluation.rank_term,
-        penalty_term=evaluation.penalty_term,
-        any_invalid=evaluation.any_invalid,
+        fitness=terms.fitness,
+        rank_term=terms.rank_term,
+        penalty_term=terms.penalty_term,
+        any_invalid=terms.any_invalid,
         origin=origin,
-        parent_ids=parent_ids,
+        parent_ids=tuple(parent.id for parent in parents),
         generation_created=generation,
+        attempts=attempts,
+        identical=identical,
     )
-    record.lineage.append(
-        LineageEvent(
-            child_id=benchmark.id,
-            kind=origin,
-            parent_ids=parent_ids,
-            attempts=attempts,
-            identical=identical,
-            generation=generation,
-        )
-    )
+    record.lineage.append(benchmark)
     return benchmark
 
 
@@ -382,46 +358,52 @@ def _open_run_directory(config: EngineConfig) -> Path | None:
     stale += [out / f"{CONFIG_FILE}.tmp", out / f"{BEST_FILE}.tmp", *out.glob("population.gen*.jsonl.tmp")]
     for path in stale:
         path.unlink(missing_ok=True)
-    _write_atomic(out / CONFIG_FILE, json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+    _write_atomic(out / CONFIG_FILE, json.dumps(to_record(config), indent=2, allow_nan=False) + "\n")
     return out
 
 
-def _write_best(out: Path, record: RunRecord, aborted: bool) -> None:
+def _lines(records) -> str:
+    return "".join(json.dumps(to_record(record), allow_nan=False) + "\n" for record in records)
+
+
+def _write_summary(out: Path, summary: RunSummary) -> None:
+    _write_atomic(out / BEST_FILE, json.dumps(to_record(summary), indent=2, allow_nan=False) + "\n")
+
+
+def _commit_generation(out: Path, record: RunRecord) -> RunSummary:
+    """Write the newest generation: its snapshot, atomically; the ledger
+    lines of the children it made, in one append; then the summary,
+    which commits both and is returned."""
+    generation = len(record.populations) - 1
+    _write_atomic(out / snapshot_filename(generation), _lines(record.populations[-1]))
+    with open(out / LINEAGE_FILE, "a", encoding="utf-8") as handle:
+        handle.write(_lines(child for child in record.lineage if child.generation_created == generation))
     summary = RunSummary(
         best=record.best,
         best_fitness_per_generation=tuple(record.best_per_generation),
         generations_completed=len(record.populations),
         evaluated_benchmarks=record.evaluated_benchmarks,
         inner_trials_total=record.inner_trials_total,
-        aborted=aborted,
+        failed_attempts=record.failed_attempts,
+        aborted=False,
     )
-    _write_atomic(out / BEST_FILE, json.dumps(to_record(summary), indent=2) + "\n")
-
-
-def _commit_generation(out: Path, record: RunRecord, events: list[LineageEvent]) -> None:
-    """Write the newest generation: its snapshot, atomically; its lineage
-    ``events``, in one append; then the summary, which commits both."""
-    population = record.populations[-1]
-    lines = [json.dumps(to_record(b)) for b in population]
-    _write_atomic(out / snapshot_filename(len(record.populations) - 1), "\n".join(lines) + "\n")
-    with open(out / LINEAGE_FILE, "a", encoding="utf-8") as handle:
-        handle.write("".join(json.dumps(to_record(event)) + "\n" for event in events))
-    _write_best(out, record, aborted=False)
+    _write_summary(out, summary)
+    return summary
 
 
 def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     """Full run: initialization plus max_generations - 1 generation steps.
 
-    Each generation is committed to the run directory as it completes,
-    so an abort from a replay miss, a transport failure or an exhausted
-    retry budget leaves every completed generation on disk with
-    ``aborted`` set in the summary file; the unfinished generation
-    writes nothing.
+    Each generation is committed to the run directory as it completes.
+    An abort from a replay miss, a transport failure or an exhausted
+    retry budget rewrites the last commit's summary with ``aborted``
+    set, so the directory holds every completed generation and its
+    counts; the unfinished generation writes nothing.
     """
     out = _open_run_directory(config)
     record = RunRecord(config)
     rng = np.random.default_rng(config.seed)
-    committed = 0  # lineage events already written
+    summary = None  # the last commit's
     try:
         for generation in range(config.max_generations):
             if generation == 0:
@@ -430,11 +412,10 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
                 population = step_generation(record, population, client, rng, generation)
             record.populations.append(population)
             if out is not None:
-                _commit_generation(out, record, record.lineage[committed:])
-                committed = len(record.lineage)
+                summary = _commit_generation(out, record)
     except (TranscriptMissError, TransportError, EngineAbort):
-        if out is not None and record.populations:
-            _write_best(out, record, aborted=True)
+        if summary is not None:
+            _write_summary(out, dataclasses.replace(summary, aborted=True))
         raise
     return record
 
@@ -442,9 +423,9 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
 # ------------------------------------------------------------------ loading
 
 
-def load_lineage(path: str | Path) -> list[LineageEvent]:
-    # the log is appended to, so a crash can leave its last line torn
-    return read_jsonl(path, "lineage", LineageEvent, torn_tail=True)
+def load_lineage(path: str | Path) -> list[Benchmark]:
+    # the ledger is appended to, so a crash can leave its last line torn
+    return read_jsonl(path, "lineage", Benchmark, torn_tail=True)
 
 
 def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
@@ -453,26 +434,20 @@ def load_population(path: str | Path, dimension: int) -> list[Benchmark]:
 
 
 def load_run(directory: str | Path) -> RunRecord:
-    """Rehydrate a persisted run directory into a RunRecord.
+    """The RunRecord that ``run`` held at a run directory's last commit.
 
-    The summary file is the commit point for snapshots and lineage:
-    exactly the snapshots of the generations it reports are read, and a
-    missing one, or one that does not hold ``population_size`` members,
-    is an error; only the lineage events of those generations are kept.
-    A higher-numbered snapshot or a later event, whose summary write
-    never landed, is not part of the run and is ignored, and so is a
-    torn final lineage line.  Of the summary only its counts are read;
-    the best member and its trace come from the snapshots.  A problem of
-    ``config.json`` or of the summary names its file.
+    The summary file is the commit point: exactly the snapshots of the
+    generations it reports are read, and a missing one, or one that does
+    not hold ``population_size`` members, is an error.  Only the ledger
+    lines of those generations are kept, and a torn final line is
+    ignored.  A summary count that the ledger does not give, and a
+    snapshot member that no ledger line holds as it is, are problems
+    that name their file, like those of ``config.json`` and the summary.
     """
     out = Path(directory)
     config = read_record(EngineConfig, out / CONFIG_FILE)
     summary = read_record(RunSummary, out / BEST_FILE)
-    record = RunRecord(
-        config,
-        evaluated_benchmarks=summary.evaluated_benchmarks,
-        inner_trials_total=summary.inner_trials_total,
-    )
+    record = RunRecord(config, failed_attempts=summary.failed_attempts)
     completed = summary.generations_completed
     for generation in range(completed):
         path = out / snapshot_filename(generation)
@@ -482,5 +457,24 @@ def load_run(directory: str | Path) -> RunRecord:
                 f"{path}: holds {len(population)} benchmarks; population_size is {config.population_size}"
             )
         record.populations.append(population)
-    record.lineage = [e for e in load_lineage(out / LINEAGE_FILE) if e.generation < completed]
+    record.lineage = [c for c in load_lineage(out / LINEAGE_FILE) if c.generation_created < completed]
+    raise_problems(_disagreements(out, record, summary))
     return record
+
+
+def _disagreements(out: Path, record: RunRecord, summary: RunSummary) -> list[str]:
+    """Where the summary and the snapshots disagree with the ledger;
+    records compare as written, since a NaN term never equals itself."""
+    problems = [
+        f"{out / BEST_FILE}: {name}: is {getattr(summary, name)}; {LINEAGE_FILE} gives {getattr(record, name)}"
+        for name in ("evaluated_benchmarks", "inner_trials_total")
+        if getattr(summary, name) != getattr(record, name)
+    ]
+    ledger = {child.id: to_record(child) for child in record.lineage}
+    for generation, population in enumerate(record.populations):
+        for member in population:
+            written = ledger.get(member.id)
+            if written != to_record(member):
+                problem = "has no record in" if written is None else "differs from its record in"
+                problems.append(f"{out / snapshot_filename(generation)}: member {member.id} {problem} {LINEAGE_FILE}")
+    return problems

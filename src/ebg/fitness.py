@@ -10,12 +10,13 @@ a penalty that discourages unboundedly negative landscapes:
 Lower is better; with all A1 trials strictly ahead the rank share
 reaches its floor sum(1..T)/sum(1..2T) (about 0.2561 at T=20).  Ranking
 is scale free, so only the ordering of outcomes matters.  A benchmark
-that produces any invalid trial receives a large constant penalty
-instead.
+that produces any invalid trial, or whose penalty overflows to an
+infinite fitness, receives a large constant penalty instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,7 +107,8 @@ def pooled_rank_fitness(
     ranks = average_ranks(pooled)
     total = pooled.size * (pooled.size + 1) / 2.0
     rank_term = float(ranks[: a1.size].sum() / total)
-    penalty_term = float(alpha * max(0.0, -a1.min()))
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    penalty_term = alpha * max(0.0, -float(a1.min()))
     return rank_term + penalty_term, rank_term, penalty_term
 
 
@@ -153,30 +155,26 @@ def evaluate_benchmark(
     ga_config: GaConfig = GaConfig(),
     de_config: DeConfig = DeConfig(),
 ) -> BenchmarkEvaluation:
-    """Score one benchmark; invalid trials collapse to the flat penalty."""
+    """Score one benchmark.  An invalid trial, or a penalty that
+    overflows to an infinite fitness, collapses to the flat penalty."""
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
     outcomes = run_trials(expr, config, space, ga_config, de_config)
     a1_best = tuple(o.best_value for o in outcomes[config.a1])
     a2_best = tuple(o.best_value for o in outcomes[config.a2])
     invalid = any(not o.valid for row in outcomes.values() for o in row)
+    if not invalid:
+        fitness, rank_term, penalty_term = pooled_rank_fitness(a1_best, a2_best, config.alpha)
+        invalid = not math.isfinite(fitness)
     if invalid:
-        return BenchmarkEvaluation(
-            fitness=config.invalid_penalty,
-            rank_term=float("nan"),
-            penalty_term=float("nan"),
-            a1_best=a1_best,
-            a2_best=a2_best,
-            any_invalid=True,
-        )
-    fitness, rank_term, penalty_term = pooled_rank_fitness(a1_best, a2_best, config.alpha)
+        fitness, rank_term, penalty_term = config.invalid_penalty, math.nan, math.nan
     return BenchmarkEvaluation(
         fitness=fitness,
         rank_term=rank_term,
         penalty_term=penalty_term,
         a1_best=a1_best,
         a2_best=a2_best,
-        any_invalid=False,
+        any_invalid=invalid,
     )
 
 

@@ -340,7 +340,7 @@ class RecordingBackend:
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(to_record(entry)) + "\n")
+            handle.write(json.dumps(to_record(entry), allow_nan=False) + "\n")
         return response
 
 

@@ -218,10 +218,10 @@ def test_criterion_09_end_to_end_replay(tmp_path):
     known: set[int] = set()
     for event in record.lineage:
         assert all(pid in known for pid in event.parent_ids)
-        assert all(event.child_id > pid for pid in event.parent_ids)
-        known.add(event.child_id)
-        if event.kind in ("crossover", "mutation"):
-            alive = {b.id for b in record.populations[event.generation - 1]}
+        assert all(event.id > pid for pid in event.parent_ids)
+        known.add(event.id)
+        if event.origin in ("crossover", "mutation"):
+            alive = {b.id for b in record.populations[event.generation_created - 1]}
             assert set(event.parent_ids) <= alive
 
     for k in range(3):

@@ -16,7 +16,7 @@ from ebg.analysis import (
     pairwise_levenshtein,
     sobol_indices,
 )
-from ebg.engine import EngineConfig, LineageEvent, run
+from ebg.engine import Benchmark, EngineConfig, run
 from ebg.expressions import evaluate, parse
 from ebg.kernels import compile_program
 from ebg.fitness import FitnessConfig
@@ -282,13 +282,18 @@ def test_mds_input_validation():
 
 
 def _event(child, kind, parents=(), identical=False):
-    return LineageEvent(
-        child_id=child,
-        kind=kind,
+    return Benchmark(
+        id=child,
+        expression="x[0]",
+        fitness=0.5,
+        rank_term=0.5,
+        penalty_term=0.0,
+        any_invalid=False,
+        origin=kind,
         parent_ids=tuple(parents),
+        generation_created=0,
         attempts=1,
         identical=identical,
-        generation=0,
     )
 
 

@@ -159,7 +159,7 @@ WRONG_TYPE = {
     "float-trials": ("analyze", {"fitness": {"trials": 2.5}}, ["fitness.trials: must be an integer"]),
     "float-dimension": ("analyze", {"dimension": 2.5}, ["dimension: must be an integer"]),
     "bool-dimension": ("analyze", {"dimension": True}, ["dimension: must be an integer"]),
-    "bool-float": ("analyze", {"crossover_rate": True}, ["crossover_rate: must be a number"]),
+    "bool-float": ("analyze", {"crossover_rate": True}, ["crossover_rate: must be a finite number"]),
     # a rejected transcript is not also reported as missing
     "number-transcript": (
         "generate", {"backend": {"mode": "replay", "transcript": 3}}, ["backend.transcript: must be a string"],
@@ -185,7 +185,7 @@ WRONG_TYPE = {
         [
             "ga.population: must be >= 2",
             "ga.mutation_rate: must lie in [0, 1]",
-            "ga.crossover_rate: must be a number",
+            "ga.crossover_rate: must be a finite number",
         ],
     ),
     "all-at-once": (
@@ -194,7 +194,7 @@ WRONG_TYPE = {
         [
             "dimension: must be an integer",
             "fitness.trials: must be an integer",
-            "ga.mutation_rate: must be a number",
+            "ga.mutation_rate: must be a finite number",
             "backend.endpoint_url: required when mode is live or record",
         ],
     ),
@@ -229,6 +229,19 @@ def test_one_load_lists_shape_and_field_problems_together(tmp_path, capsys, comm
         "config error: nope: unknown key",
         "config error: analysis: must be an object",
     ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["evaluate", "generate"])
+def test_non_finite_config_number_fails_cleanly(tmp_path, capsys, command, literal):
+    # json.loads reads these literals, and a NaN passes the range check
+    path = tmp_path / "config.json"
+    path.write_text(Path(SMOKE_CONFIG).read_text().replace('"alpha": 10.0', f'"alpha": {literal}'))
+    target = ["--expr", "x[0]**2 + x[1]"] if command == "evaluate" else ["--replay", SMOKE_TRANSCRIPT]
+    code = main([command, *target, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: fitness.alpha: must be a finite number"]
     assert not (tmp_path / "out").exists()
 
 
@@ -419,6 +432,21 @@ def test_evaluate_constant_expression(tmp_path, capsys):
     assert len(payload["GA"]) == 3
     assert len(payload["DE"]) == 3
     assert payload["any_invalid"] is False
+
+
+def test_evaluate_report_writes_invalid_trials_as_null(tmp_path, capsys):
+    # defined on the pre-validation sample, but DE's trials leave the domain
+    report = tmp_path / "evaluation.json"
+    code = main(["evaluate", "--expr", "sqrt(x[0] + 0.99999)", "--config", SMOKE_CONFIG, "--out", str(report)])
+    assert code == 0, capsys.readouterr().err
+
+    def refuse(literal):
+        raise AssertionError(f"{literal} is not JSON")
+
+    payload = json.loads(report.read_text(), parse_constant=refuse)
+    assert payload["any_invalid"] is True
+    assert payload["rank_term"] is None and payload["penalty_term"] is None
+    assert None in payload["DE"]
 
 
 def test_evaluate_rejects_undefined_expression(tmp_path, capsys):
@@ -626,9 +654,9 @@ def test_lineage_outputs_structure(smoke_run, capsys):
     # one node per created individual: N members per generation over 3
     # generations means 4 + 4 + 4 = 12 creations
     assert dot.count("[label=") == 12
-    crossover_edges = sum(2 for e in events if e.kind == "crossover")
-    mutation_edges = sum(1 for e in events if e.kind == "mutation")
-    init_edges = sum(len(e.parent_ids) for e in events if e.kind == "init_llm")
+    crossover_edges = sum(2 for e in events if e.origin == "crossover")
+    mutation_edges = sum(1 for e in events if e.origin == "mutation")
+    init_edges = sum(len(e.parent_ids) for e in events if e.origin == "init_llm")
     assert dot.count("[style=solid]") == crossover_edges
     assert dot.count("[style=dashed]") == mutation_edges
     assert dot.count("[style=dotted]") == init_edges
@@ -702,13 +730,23 @@ def test_bad_final_lineage_line_with_its_newline_reports_position(smoke_run, cap
     assert "lineage.jsonl:13: bad lineage record" in capsys.readouterr().err
 
 
-def test_lineage_holds_only_committed_generations(smoke_run):
-    path = smoke_run / "best.json"
+def _commit_only(run_dir: Path, completed: int) -> None:
+    """Rewrite ``best.json`` as the run wrote it after committing its
+    first ``completed`` generations: its counts are those of their
+    ledger lines."""
+    path = run_dir / "best.json"
     summary = json.loads(path.read_text())
-    path.write_text(json.dumps({**summary, "generations_completed": 2}))
+    written = load_lineage(run_dir / "lineage.jsonl")
+    texts = {event.expression for event in written if event.generation_created < completed}
+    counts = {"evaluated_benchmarks": len(texts), "inner_trials_total": 2 * 3 * len(texts)}
+    path.write_text(json.dumps({**summary, "generations_completed": completed, **counts}))
+
+
+def test_lineage_holds_only_committed_generations(smoke_run):
+    _commit_only(smoke_run, 2)
     written = load_lineage(smoke_run / "lineage.jsonl")
-    assert {event.generation for event in written} == {0, 1, 2}
-    assert load_run(smoke_run).lineage == [event for event in written if event.generation < 2]
+    assert {event.generation_created for event in written} == {0, 1, 2}
+    assert load_run(smoke_run).lineage == [event for event in written if event.generation_created < 2]
 
 
 @pytest.mark.parametrize("command", ["lineage", "analyze"])
@@ -726,9 +764,7 @@ def test_run_directory_with_unknown_config_key(smoke_run, capsys, command):
 def test_run_directory_with_stale_snapshots(smoke_run, command):
     # best.json of a run that stopped after generation 0, beside the
     # snapshots of generations 1 and 2 that it never committed
-    path = smoke_run / "best.json"
-    summary = json.loads(path.read_text())
-    path.write_text(json.dumps({**summary, "generations_completed": 1}))
+    _commit_only(smoke_run, 1)
     record = load_run(smoke_run)
     assert len(record.populations) == 1
     # the best and its trace come from the committed snapshots only
@@ -785,6 +821,26 @@ def test_run_summary_problems_are_one_line_each(smoke_run, capsys):
     )
 
 
+def test_run_summary_count_that_disagrees_with_the_ledger(smoke_run, capsys):
+    path = smoke_run / "best.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "evaluated_benchmarks": 11}))
+    _assert_load_refused(smoke_run, capsys, f"{path}: evaluated_benchmarks: is 11; lineage.jsonl gives 12")
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [("fitness", 0.5, "member {id} differs from its record in"), ("id", 99, "member 99 has no record in")],
+    ids=["fitness", "id"],
+)
+def test_snapshot_member_that_disagrees_with_the_ledger(smoke_run, capsys, key, value, problem):
+    path = smoke_run / "population.gen2.jsonl"
+    lines = path.read_text().splitlines()
+    member = json.loads(lines[2])
+    lines[2] = json.dumps({**member, key: value})
+    path.write_text("\n".join(lines) + "\n")
+    _assert_load_refused(smoke_run, capsys, f"{path}: {problem.format(id=member['id'])} lineage.jsonl")
+
+
 def test_run_config_problems_name_the_file_one_line_each(smoke_run, capsys):
     path = smoke_run / "config.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "population_size": 1, "foo": 1}))
@@ -832,14 +888,14 @@ def _assert_load_refused(run_dir, capsys, *problems):
 
 # a run-directory field of the wrong JSON type: (file, line, record, field, value, expected type)
 WRONG_TYPED_FIELD = {
-    "fitness-string": ("population.gen2.jsonl", 3, "benchmark", "fitness", "abc", "a number"),
-    "fitness-null": ("population.gen2.jsonl", 3, "benchmark", "fitness", None, "a number"),
+    "fitness-string": ("population.gen2.jsonl", 3, "benchmark", "fitness", "abc", "a finite number"),
+    "fitness-null": ("population.gen2.jsonl", 3, "benchmark", "fitness", None, "a finite number"),
     "id-string": ("population.gen2.jsonl", 3, "benchmark", "id", "2", "an integer"),
     "expression-number": ("population.gen2.jsonl", 3, "benchmark", "expression", 5, "a string"),
-    "generation-string": ("lineage.jsonl", 3, "lineage", "generation", "0", "an integer"),
+    "generation-string": ("lineage.jsonl", 3, "lineage", "generation_created", "0", "an integer"),
     "identical-string": ("lineage.jsonl", 3, "lineage", "identical", "no", "a boolean"),
     "generation-created-bool": ("population.gen2.jsonl", 3, "benchmark", "generation_created", True, "an integer"),
-    "rank-term-bool": ("population.gen2.jsonl", 3, "benchmark", "rank_term", False, "a number or null"),
+    "rank-term-bool": ("population.gen2.jsonl", 3, "benchmark", "rank_term", False, "a finite number or null"),
     "parent-ids-floats": ("lineage.jsonl", 3, "lineage", "parent_ids", [1.0], "a list of integers"),
 }
 
@@ -856,12 +912,13 @@ def test_run_record_field_of_the_wrong_type_names_file_line_and_field(
 
 
 def test_unknown_parent_on_the_best_ancestry_fails_lineage(smoke_run, capsys):
-    # the best member becomes a mutation of an id that no event created
+    # the best member becomes a mutation of an id that no ledger line
+    # holds, in the ledger and in every snapshot, which still agree
     best = load_run(smoke_run).best.id
-    path = smoke_run / "lineage.jsonl"
-    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    events = [{**e, "kind": "mutation", "parent_ids": [99]} if e["child_id"] == best else e for e in events]
-    path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    for path in [smoke_run / "lineage.jsonl", *smoke_run.glob("population.gen*.jsonl")]:
+        events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        events = [{**e, "origin": "mutation", "parent_ids": [99]} if e["id"] == best else e for e in events]
+        path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
     capsys.readouterr()
     assert main(["lineage", "--run", str(smoke_run), "--out", str(smoke_run / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == ["lineage analysis failed: unknown benchmark id 99"]

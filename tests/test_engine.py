@@ -4,17 +4,20 @@ import dataclasses
 import filecmp
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ebg.config import ConfigError, build, to_record
+from ebg import engine
+from ebg.analysis import AnalysisConfig
+from ebg.cli import engine_config_from, load_config
+from ebg.config import ConfigError, NanFloat, build, build_block, to_record
 from ebg.engine import (
     Benchmark,
     EngineAbort,
     EngineConfig,
-    LineageEvent,
     RunRecord,
     RunSummary,
     initialize_population,
@@ -27,6 +30,7 @@ from ebg.engine import (
 from ebg.expressions import render
 from ebg.fitness import FitnessConfig
 from ebg.llm import (
+    BackendConfig,
     RecordingBackend,
     ReplayBackend,
     RetryPolicy,
@@ -36,6 +40,8 @@ from ebg.llm import (
 )
 from ebg.optimizers import DeConfig, GaConfig
 from helpers import FormulaBackend
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TINY = dict(
     population_size=4,
@@ -73,6 +79,8 @@ def _bench(bid: int, fitness: float) -> Benchmark:
         origin="seed",
         parent_ids=(),
         generation_created=0,
+        attempts=0,
+        identical=False,
     )
 
 
@@ -168,22 +176,22 @@ RECORDS = {
         "expression",
         "rank_term",
         "0.5",
-        "a number or null",
+        "a finite number or null",
     ),
     "lineage": (
-        LineageEvent(child_id=5, kind="crossover", parent_ids=(1, 2), attempts=3, identical=False, generation=1),
-        "kind",
+        dataclasses.replace(_bench(5, 0.5), origin="crossover", parent_ids=(1, 2), generation_created=1, attempts=3),
+        "origin",
         "identical",
         0,
         "a boolean",
     ),
     "transcript": (TranscriptEntry("d", "p", "r", "live", "2024-01-01"), "response", "prompt", None, "a string"),
     "summary": (
-        RunSummary(_bench(2, 0.5), (0.75, 0.5), 2, 9, 36, False),
+        RunSummary(_bench(2, 0.5), (0.75, 0.5), 2, 9, 36, 3, False),
         "aborted",
         "best_fitness_per_generation",
         [0.75, True],
-        "a list of numbers",
+        "a list of finite numbers",
     ),
 }
 
@@ -205,6 +213,49 @@ def test_record_round_trip_and_problems(record, missing, wrong, value, kind):
     assert caught.value.problems == ("must be an object",)
 
 
+# every config block, and one instance of each record class; the walk
+# below reaches their nested blocks
+ROOTS = {
+    "engine": EngineConfig(),
+    "backend": BackendConfig(),
+    "analysis": AnalysisConfig(),
+    **{name: RECORDS[name][0] for name in ("benchmark", "transcript", "summary")},
+}
+
+# what a non-finite value of each kind of float field must be instead
+FINITE = {float: "a finite number", NanFloat: "a finite number or null", tuple[float, ...]: "a list of finite numbers"}
+
+
+def _float_fields(cls, path=()):
+    types = typing.get_type_hints(cls, include_extras=True)
+    for f in dataclasses.fields(cls):
+        kind = types[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _float_fields(kind, (*path, f.name))
+        elif kind in FINITE:
+            yield (*path, f.name), kind
+
+
+FLOAT_FIELDS = [(root, path, kind) for root, value in ROOTS.items() for path, kind in _float_fields(type(value))]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "root, path, kind", FLOAT_FIELDS, ids=[".".join((root, *path)) for root, path, _ in FLOAT_FIELDS]
+)
+def test_every_float_field_must_be_finite(root, path, kind, literal):
+    # json.loads reads these literals; a NaN would pass every range check
+    value = json.loads(literal)
+    data = json.loads(json.dumps(to_record(ROOTS[root])))
+    block = data
+    for name in path[:-1]:
+        block = block[name]
+    block[path[-1]] = [value] if kind == tuple[float, ...] else value
+    with pytest.raises(ConfigError) as caught:
+        build_block(root, type(ROOTS[root]), data)
+    assert caught.value.problems == (f"{'.'.join((root, *path))}: must be {FINITE[kind]}",)
+
+
 # ---------------------------------------------------------- initialization
 
 
@@ -224,7 +275,7 @@ def test_initialize_population_seed_and_conditioning():
     assert backend.prompts[2].count("Example") == 3
     assert "f(x) = x[0] + x[1]**2 + x[2]**3" in backend.prompts[0]
     # init lineage events carry the in-context example ids
-    init_events = [e for e in record.lineage if e.kind == "init_llm"]
+    init_events = [e for e in record.lineage if e.origin == "init_llm"]
     assert [e.parent_ids for e in init_events] == [(1,), (1, 2), (1, 2, 3)]
     assert all(np.isfinite(b.fitness) for b in population)
 
@@ -257,7 +308,7 @@ def test_step_generation_all_crossover_when_rate_is_one():
     rng = np.random.default_rng(0)
     survivors, events = _step(record, population, FormulaBackend(), rng)
     assert len(survivors) == 4
-    assert [e.kind for e in events] == ["crossover"] * 4
+    assert [e.origin for e in events] == ["crossover"] * 4
     assert all(len(e.parent_ids) == 2 for e in events)
     assert all(e.parent_ids[0] != e.parent_ids[1] for e in events)
 
@@ -267,7 +318,7 @@ def test_step_generation_all_mutation_when_rate_is_zero():
     population, record = _initialized(config)
     rng = np.random.default_rng(0)
     _, events = _step(record, population, FormulaBackend(), rng)
-    assert [e.kind for e in events] == ["mutation"] * 4
+    assert [e.origin for e in events] == ["mutation"] * 4
     assert all(len(e.parent_ids) == 1 for e in events)
 
 
@@ -279,8 +330,8 @@ def test_step_generation_parents_come_from_current_population():
     survivors, events = _step(record, population, FormulaBackend(), rng)
     for event in events:
         assert set(event.parent_ids) <= alive
-        assert all(event.child_id > pid for pid in event.parent_ids)
-    union_ids = alive | {e.child_id for e in events}
+        assert all(event.id > pid for pid in event.parent_ids)
+    union_ids = alive | {e.id for e in events}
     assert {b.id for b in survivors} <= union_ids
 
 
@@ -327,8 +378,8 @@ def test_run_monotone_best_and_conservation(tmp_path):
     # lineage closure: every crossover/mutation parent was alive in the
     # previous generation's population
     for event in record.lineage:
-        if event.kind in ("crossover", "mutation"):
-            alive = {b.id for b in record.populations[event.generation - 1]}
+        if event.origin in ("crossover", "mutation"):
+            alive = {b.id for b in record.populations[event.generation_created - 1]}
             assert set(event.parent_ids) <= alive
 
 
@@ -359,6 +410,87 @@ def test_run_persists_and_reloads(tmp_path):
     assert summary["generations_completed"] == 3
 
 
+class Stumbling(FormulaBackend):
+    """A fresh formula per call, except two: call 2 makes an init member
+    whose penalty overflows, so its snapshot line holds null terms, and
+    call 6 starts prose, so one generation-1 offspring exhausts its two
+    attempts."""
+
+    def complete(self, prompt: str) -> str:
+        reply = super().complete(prompt)
+        return {2: "-1e308*x[0]", 6: "I am out of ideas.", 7: "I am out of ideas."}.get(self.calls, reply)
+
+
+def _smoke_run(out: Path, generations: int) -> RunRecord:
+    data = {**load_config(str(FIXTURES / "smoke_config.json")), "max_generations": generations}
+    return run(engine_config_from(data, str(out)), ReplayBackend.from_path(FIXTURES / "smoke_transcript.jsonl"))
+
+
+def _stumbling_run(out: Path, generations: int) -> RunRecord:
+    retry = RetryPolicy(max_attempts_per_offspring=2, global_failure_cap=10)
+    return run(tiny_config(max_generations=generations, output_dir=str(out), retry=retry), Stumbling())
+
+
+def _state(record: RunRecord) -> dict:
+    """What a record holds and derives, as its run files would hold it,
+    and the ledger lines of one more generation of echoed parents, whose
+    ids and terms follow from the ledger."""
+    state = {
+        "populations": [[to_record(b) for b in population] for population in record.populations],
+        "ledger": [to_record(child) for child in record.lineage],
+        "failed_attempts": record.failed_attempts,
+        "counts": (record.evaluated_benchmarks, record.inner_trials_total),
+    }
+    generation = len(record.populations)
+    step_generation(record, record.populations[-1], EchoBackend(), np.random.default_rng(0), generation)
+    state["next"] = [to_record(child) for child in record.lineage if child.generation_created == generation]
+    return state
+
+
+@pytest.mark.parametrize("make", [_smoke_run, _stumbling_run], ids=["smoke", "stumbling"])
+@pytest.mark.parametrize("generations", [1, 2, 3])
+def test_loaded_run_is_the_record_of_its_last_commit(tmp_path, make, generations):
+    live = make(tmp_path / "run", generations)
+    assert len(live.populations) == generations
+    loaded = _state(load_run(tmp_path / "run"))
+    assert loaded == _state(live)
+    if make is _stumbling_run:
+        assert loaded["populations"][0][2]["rank_term"] is None
+        assert loaded["failed_attempts"] == (2 if generations > 1 else 0)
+    assert loaded["next"][0]["id"] == loaded["ledger"][-1]["id"] + 1
+
+
+def test_loaded_run_carries_on_without_rescoring(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    live = run(tiny_config(max_generations=2, output_dir=str(out)), FormulaBackend())
+    # a child of the ledger whose text no survivor holds
+    survivors = {b.expression for b in live.populations[-1]}
+    dropped = next(child for child in live.lineage if child.expression not in survivors)
+
+    class ProposesDropped:
+        name = "dropped"
+
+        def complete(self, prompt: str) -> str:
+            return dropped.expression
+
+    scored = []
+    evaluate = engine.evaluate_benchmark
+
+    def counted(expr, *args, **kwargs):
+        scored.append(render(expr))
+        return evaluate(expr, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "evaluate_benchmark", counted)
+    ledgers = []
+    for record in (live, load_run(out)):
+        step_generation(record, record.populations[-1], ProposesDropped(), np.random.default_rng(0), 2)
+        children = [child for child in record.lineage if child.generation_created == 2]
+        assert [(c.expression, c.fitness) for c in children] == [(dropped.expression, dropped.fitness)] * 4
+        ledgers.append([to_record(child) for child in record.lineage])
+    assert scored == []
+    assert ledgers[0] == ledgers[1]
+
+
 def test_run_is_deterministic_byte_for_byte(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run(tiny_config(seed=11, output_dir=str(out_a)), FormulaBackend())
@@ -374,8 +506,8 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
 def test_run_seed_changes_operator_choices(tmp_path):
     rec_a = run(tiny_config(seed=0), FormulaBackend())
     rec_b = run(tiny_config(seed=1234), FormulaBackend())
-    kinds_a = [e.kind for e in rec_a.lineage]
-    kinds_b = [e.kind for e in rec_b.lineage]
+    kinds_a = [e.origin for e in rec_a.lineage]
+    kinds_b = [e.origin for e in rec_b.lineage]
     assert kinds_a != kinds_b
 
 
@@ -410,9 +542,11 @@ def test_aborted_generation_writes_no_lineage(tmp_path):
     # admitted, but generation 1 never committed
     assert backend.calls == 9
     raw = [json.loads(line) for line in (out / "lineage.jsonl").read_text().splitlines()]
-    assert [event["child_id"] for event in raw] == [1, 2, 3, 4]
-    assert all(event["generation"] == 0 for event in raw)
-    assert [event.child_id for event in load_run(out).lineage] == [1, 2, 3, 4]
+    assert [event["id"] for event in raw] == [1, 2, 3, 4]
+    assert all(event["generation_created"] == 0 for event in raw)
+    assert [event.id for event in load_run(out).lineage] == [1, 2, 3, 4]
+    # the summary counts the committed children only
+    assert json.loads((out / "best.json").read_text())["evaluated_benchmarks"] == 4
 
 
 def test_run_aborts_on_transport_failure(tmp_path):
@@ -457,7 +591,7 @@ def test_reused_run_directory_drops_stale_files(tmp_path):
     record = load_run(out)
     assert len(record.populations) == 1
     assert len(record.best_per_generation) == 1
-    assert all(event.generation == 0 for event in record.lineage)
+    assert all(event.generation_created == 0 for event in record.lineage)
 
 
 def test_record_mode_starts_a_fresh_transcript(tmp_path):

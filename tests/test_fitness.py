@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,21 @@ def test_evaluate_benchmark_domain_error_gets_flat_penalty():
     assert result.any_invalid
     assert result.fitness == 1e6
     assert np.isnan(result.rank_term)
+
+
+def test_overflowing_penalty_gets_flat_penalty():
+    # every trial is valid, but alpha * 1e308-sized values overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = evaluate_benchmark(
+            parse("-1e308*x[0]", 2),
+            FitnessConfig(trials=2),
+            ga_config=GaConfig(generations=3),
+            de_config=DeConfig(generations=3),
+        )
+    assert result.fitness == FitnessConfig().invalid_penalty
+    assert np.isnan(result.rank_term) and np.isnan(result.penalty_term)
+    assert result.any_invalid
 
 
 def test_evaluate_benchmark_deterministic():
