@@ -13,7 +13,8 @@ also asks the backend block for a source of responses.
 
 Exit codes: 0 success, 1 for validation problems (every violated field
 is listed), 2 for runtime aborts such as replay misses, a failed chat
-endpoint, exhausted retry budgets, or invalid analysis samples.  There is
+endpoint, exhausted retry budgets, a dead trial worker, invalid analysis
+samples, or a standard output whose reader has gone.  There is
 one exit path: where a command reads an outside input (config, output
 path, transcript, expression, run directory) or runs its work, it turns
 that step's errors into a ``Refused``, and ``main`` alone prints its
@@ -52,7 +53,7 @@ from .engine import (
     run,
 )
 from .expressions import DimensionError, Expression, ParseError, SymbolError, parse
-from .fitness import evaluate_benchmark, prevalidate
+from .fitness import TrialWorker, WorkerDied, evaluate_benchmark, prevalidate
 from .llm import (
     BackendConfig,
     LiveBackend,
@@ -219,8 +220,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     check_output(out_dir, directory=True)
     with refusing(EXIT_VALIDATION, "cannot read transcript", OSError, ValueError):
         backend = build_backend(backend_config, out_dir)
-    with refusing(EXIT_RUNTIME, "run aborted", EngineAbort, TranscriptMissError, TransportError):
-        record = run(config, backend)
+    aborts = (EngineAbort, TranscriptMissError, TransportError, WorkerDied)
+    with refusing(EXIT_RUNTIME, "run aborted", *aborts), TrialWorker() as worker:
+        record = run(config, backend, worker)
     print(f"best expression: {record.best.expression}")
     print(f"best fitness: {record.best.fitness:.10g}")
     print(f"run directory: {out_dir}")
@@ -239,7 +241,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     fitness_config = config.fitness
     if not prevalidate(expr, fitness_config):
         raise Refused(EXIT_VALIDATION, "expression failed pre-validation: invalid values on the search box")
-    evaluation = evaluate_benchmark(expr, fitness_config, ga_config=config.ga, de_config=config.de)
+    with refusing(EXIT_RUNTIME, "evaluation aborted", WorkerDied), TrialWorker() as worker:
+        evaluation = evaluate_benchmark(
+            expr, fitness_config, ga_config=config.ga, de_config=config.de, worker=worker
+        )
     a1, a2 = fitness_config.a1, fitness_config.a2
     print(f"fitness: {evaluation.fitness:.10g}")
     print(f"rank term: {evaluation.rank_term:.10g}")
@@ -400,11 +405,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early fails here, not at exit
+        return code
     except Refused as refusal:
         for line in refusal.lines:
             print(line, file=sys.stderr)
         return refusal.code
+    except BrokenPipeError:
+        # stdout's reader is gone; pointing stdout at devnull keeps the
+        # interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

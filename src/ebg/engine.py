@@ -10,8 +10,16 @@ offspring by ascending fitness, ties broken toward older individuals.
 
 Every LLM-made individual, at initialization or later, takes one path,
 ``_breed``: prompt with its parents, generate and pre-validate, charge
-exhausted attempts to the run-wide budget, evaluate the child unless the
-ledger holds its text, and add it to the ledger.
+exhausted attempts to the run-wide budget, and admit the child, which
+gives it the next id and queues it unscored.  No step of breeding reads
+a child's fitness, so scoring waits for the generation's last child:
+one score step, at the end of initialization and of each generation,
+evaluates the distinct queued texts that the ledger does not hold, in
+admit order, and adds every queued child to the ledger in admit order.
+A text the ledger holds takes the terms of its first record there.
+Given a ``TrialWorker``, the step queues every evaluation's trials of
+the target algorithm with it before scoring the first, so the worker
+runs them beside the other algorithm's trials here.
 
 A run writes a directory: the config snapshot when it starts, then one
 commit per completed generation (its population file, its children's
@@ -37,7 +45,15 @@ import numpy as np
 
 from .config import NanFloat, raise_problems, read_jsonl, read_record, to_record
 from .expressions import Binary, Constant, Expression, Variable, parse, render
-from .fitness import FitnessConfig, evaluate_benchmark, prevalidate
+from .fitness import (
+    BenchmarkEvaluation,
+    FitnessConfig,
+    TrialJob,
+    TrialWorker,
+    WorkerDied,
+    evaluate_benchmark,
+    prevalidate,
+)
 from .llm import (
     AttemptsExhausted,
     ChatBackend,
@@ -120,6 +136,36 @@ class Benchmark:
 
 
 @dataclass(frozen=True)
+class Child:
+    """An admitted child waiting for the score step: a Benchmark but for
+    its fitness terms, with the expression the step evaluates."""
+
+    expr: Expression
+    id: int
+    expression: str
+    origin: str
+    parent_ids: tuple[int, ...]
+    generation_created: int
+    attempts: int
+    identical: bool
+
+    def scored(self, terms: "Benchmark | BenchmarkEvaluation") -> Benchmark:
+        return Benchmark(
+            id=self.id,
+            expression=self.expression,
+            fitness=terms.fitness,
+            rank_term=terms.rank_term,
+            penalty_term=terms.penalty_term,
+            any_invalid=terms.any_invalid,
+            origin=self.origin,
+            parent_ids=self.parent_ids,
+            generation_created=self.generation_created,
+            attempts=self.attempts,
+            identical=self.identical,
+        )
+
+
+@dataclass(frozen=True)
 class RunSummary:
     """The run summary, ``best.json``, whose write commits a generation.
 
@@ -149,12 +195,15 @@ class RunRecord:
     ``lineage`` is the ledger: every admitted child in id order,
     survivors or not, whose distinct texts are the evaluations.
     ``failed_attempts``, the run-wide budget spent, no record derives.
+    ``queued`` holds the children admitted since the last score step;
+    it is empty whenever a generation completes.
     """
 
     config: EngineConfig
     populations: list[list[Benchmark]] = field(default_factory=list)
     lineage: list[Benchmark] = field(default_factory=list)
     failed_attempts: int = 0
+    queued: list[Child] = field(default_factory=list)
 
     @property
     def best(self) -> Benchmark:
@@ -199,34 +248,52 @@ def _admit(
     record: RunRecord,
     expr: Expression,
     origin: str,
-    parents: list[Benchmark],
+    parents: list[Benchmark | Child],
     generation: int,
     attempts: int = 0,
     identical: bool = False,
-) -> Benchmark:
-    """Evaluate ``expr``, give it the next id, and add it to the ledger.
-
-    A text the ledger holds takes the terms of its first record there."""
-    text = render(expr)
-    terms = next((child for child in record.lineage if child.expression == text), None)
-    if terms is None:
-        config = record.config
-        terms = evaluate_benchmark(expr, config.fitness, ga_config=config.ga, de_config=config.de)
-    benchmark = Benchmark(
-        id=max((child.id for child in record.lineage), default=0) + 1,
-        expression=text,
-        fitness=terms.fitness,
-        rank_term=terms.rank_term,
-        penalty_term=terms.penalty_term,
-        any_invalid=terms.any_invalid,
+) -> Child:
+    """Give ``expr`` the next id and queue it for the score step."""
+    child = Child(
+        expr=expr,
+        id=max((c.id for c in (*record.lineage, *record.queued)), default=0) + 1,
+        expression=render(expr),
         origin=origin,
         parent_ids=tuple(parent.id for parent in parents),
         generation_created=generation,
         attempts=attempts,
         identical=identical,
     )
-    record.lineage.append(benchmark)
-    return benchmark
+    record.queued.append(child)
+    return child
+
+
+def _score(record: RunRecord, worker: TrialWorker | None) -> list[Benchmark]:
+    """Score the queued children and move them to the ledger, both in
+    admit order; returns them scored.
+
+    Each distinct text that the ledger does not hold is evaluated once;
+    a text the ledger holds takes the terms of its first record there.
+    """
+    config = record.config
+    terms: dict[str, Benchmark | BenchmarkEvaluation] = {}
+    for child in record.lineage:
+        terms.setdefault(child.expression, child)
+    fresh = {}
+    for child in record.queued:
+        if child.expression not in terms:
+            fresh.setdefault(child.expression, child.expr)
+    if worker is not None:
+        for expr in fresh.values():
+            worker.queue(TrialJob.a1(expr, config.fitness, ga_config=config.ga, de_config=config.de))
+    for text, expr in fresh.items():
+        terms[text] = evaluate_benchmark(
+            expr, config.fitness, ga_config=config.ga, de_config=config.de, worker=worker
+        )
+    scored = [child.scored(terms[child.expression]) for child in record.queued]
+    record.lineage.extend(scored)
+    record.queued.clear()
+    return scored
 
 
 _PROMPT_KINDS = {ORIGIN_INIT: "init", ORIGIN_CROSSOVER: "crossover", ORIGIN_MUTATION: "mutation"}
@@ -236,9 +303,9 @@ def _breed(
     record: RunRecord,
     client: ChatBackend,
     origin: str,
-    parents: list[Benchmark],
+    parents: list[Benchmark | Child],
     generation: int,
-) -> Benchmark | None:
+) -> Child | None:
     """The single offspring path: prompt with ``parents``, admit the child.
 
     Returns None when the offspring's attempts run out; they are charged
@@ -275,8 +342,10 @@ def _breed(
     )
 
 
-def initialize_population(record: RunRecord, client: ChatBackend) -> list[Benchmark]:
-    """Seed member plus N-1 conditioned members, all evaluated.
+def initialize_population(
+    record: RunRecord, client: ChatBackend, worker: TrialWorker | None = None
+) -> list[Benchmark]:
+    """Seed member plus N-1 conditioned members, then all scored.
 
     Member 1 is the fixed seed polynomial.  Each later member is
     generated from an initialization prompt whose example list is every
@@ -284,12 +353,12 @@ def initialize_population(record: RunRecord, client: ChatBackend) -> list[Benchm
     fills.
     """
     config = record.config
-    population = [_admit(record, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
-    while len(population) < config.population_size:
-        child = _breed(record, client, ORIGIN_INIT, population, 0)
+    members = [_admit(record, seed_expression(config.dimension), ORIGIN_SEED, [], 0)]
+    while len(members) < config.population_size:
+        child = _breed(record, client, ORIGIN_INIT, members, 0)
         if child is not None:
-            population.append(child)
-    return population
+            members.append(child)
+    return _score(record, worker)
 
 
 def select_survivors(union: list[Benchmark], n: int) -> list[Benchmark]:
@@ -306,10 +375,11 @@ def step_generation(
     client: ChatBackend,
     rng: np.random.Generator,
     generation: int,
+    worker: TrialWorker | None = None,
 ) -> list[Benchmark]:
-    """One generation: N offspring, then elitist selection from P union Q."""
+    """One generation: N offspring, scored, then elitist selection from P union Q."""
     config = record.config
-    offspring: list[Benchmark] = []
+    offspring: list[Child] = []
     while len(offspring) < config.population_size:
         # rng.random() is drawn before the size check, whatever its outcome
         if rng.random() < config.crossover_rate and len(population) >= 2:
@@ -322,7 +392,7 @@ def step_generation(
         child = _breed(record, client, origin, parents, generation)
         if child is not None:
             offspring.append(child)
-    return select_survivors(population + offspring, config.population_size)
+    return select_survivors(population + _score(record, worker), config.population_size)
 
 
 # ------------------------------------------------------------- persistence
@@ -391,14 +461,15 @@ def _commit_generation(out: Path, record: RunRecord) -> RunSummary:
     return summary
 
 
-def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
-    """Full run: initialization plus max_generations - 1 generation steps.
+def run(config: EngineConfig, client: ChatBackend, worker: TrialWorker | None = None) -> RunRecord:
+    """Full run: initialization plus max_generations - 1 generation steps,
+    scored with ``worker`` if given.
 
     Each generation is committed to the run directory as it completes.
-    An abort from a replay miss, a transport failure or an exhausted
-    retry budget rewrites the last commit's summary with ``aborted``
-    set, so the directory holds every completed generation and its
-    counts; the unfinished generation writes nothing.
+    An abort from a replay miss, a transport failure, an exhausted retry
+    budget or a dead worker rewrites the last commit's summary with
+    ``aborted`` set, so the directory holds every completed generation
+    and its counts; the unfinished generation writes nothing.
     """
     out = _open_run_directory(config)
     record = RunRecord(config)
@@ -407,13 +478,13 @@ def run(config: EngineConfig, client: ChatBackend) -> RunRecord:
     try:
         for generation in range(config.max_generations):
             if generation == 0:
-                population = initialize_population(record, client)
+                population = initialize_population(record, client, worker)
             else:
-                population = step_generation(record, population, client, rng, generation)
+                population = step_generation(record, population, client, rng, generation, worker)
             record.populations.append(population)
             if out is not None:
                 summary = _commit_generation(out, record)
-    except (TranscriptMissError, TransportError, EngineAbort):
+    except (TranscriptMissError, TransportError, EngineAbort, WorkerDied):
         if summary is not None:
             _write_summary(out, dataclasses.replace(summary, aborted=True))
         raise

@@ -12,18 +12,28 @@ reaches its floor sum(1..T)/sum(1..2T) (about 0.2561 at T=20).  Ranking
 is scale free, so only the ordering of outcomes matters.  A benchmark
 that produces any invalid trial, or whose penalty overflows to an
 infinite fitness, receives a large constant penalty instead.
+
+Scoring may use a second process.  A ``TrialWorker``, opened in a
+``with`` block, is a forked process that runs the target algorithm's
+trials of each benchmark while this process runs the other algorithm's;
+``evaluate_benchmark`` and ``run_trials`` take one, and without it they
+run every trial here.  Trials are seeded per index, so the results are
+the same either way.  A caller scoring a batch queues each benchmark's
+job with the worker first, and the worker runs one job ahead.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import raise_problems
-from .expressions import Expression
+from .expressions import Expression, parse, render
 from .kernels import compile_program, eval_program
 from .optimizers import DeConfig, GaConfig, SearchSpace, TrialOutcome, run_lockstep
 
@@ -128,24 +138,167 @@ def derive_trial_seed(base_seed: int, tag: str, index: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
+def _trial_seeds(config: FitnessConfig, tag: str) -> list[int]:
+    return [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)]
+
+
+@dataclass(frozen=True)
+class TrialJob:
+    """One algorithm's seeded trials of one expression, as a worker
+    receives them: the expression goes as its text, because a compiled
+    Program holds closures, which do not pickle."""
+
+    text: str
+    dimension: int
+    space: SearchSpace
+    algorithm: GaConfig | DeConfig
+    seeds: tuple[int, ...]
+
+    @classmethod
+    def a1(
+        cls,
+        expr: Expression,
+        config: FitnessConfig,
+        space: SearchSpace | None = None,
+        ga_config: GaConfig = GaConfig(),
+        de_config: DeConfig = DeConfig(),
+    ) -> "TrialJob":
+        """The target algorithm's trials, as ``evaluate_benchmark`` with
+        these arguments runs them."""
+        algorithm = {"GA": ga_config, "DE": de_config}[config.a1]
+        space = space if space is not None else SearchSpace(dimension=expr.dimension)
+        return cls(render(expr), expr.dimension, space, algorithm, tuple(_trial_seeds(config, config.a1)))
+
+    def run(self) -> list[TrialOutcome]:
+        return run_lockstep(parse(self.text, self.dimension), self.space, self.algorithm, self.seeds)
+
+
+class WorkerDied(RuntimeError):
+    """The trial worker ended before it returned every result asked of it."""
+
+
+def _serve(conn, parent_end) -> None:
+    """The worker's loop: run each job it receives and send back its
+    outcomes, until the sentinel None or the end of the parent's side."""
+    import signal  # only the worker needs it
+
+    parent_end.close()  # else the parent's death would not end recv
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    with conn:
+        try:
+            for job in iter(conn.recv, None):
+                conn.send(job.run())
+        except (EOFError, OSError):
+            pass  # the parent is gone, and with it whoever would read a result
+
+
+class TrialWorker:
+    """A forked process that runs the target algorithm's trials, fed over
+    one pipe, while ``run_trials`` runs the other algorithm's here.
+
+    The target of its ``with`` block is the worker, or None when the
+    platform has no ``fork`` or the affinity mask holds one CPU: scoring
+    then stays in this process, with the same results.  ``taskset -c 0``
+    therefore keeps one process.  Results are taken in the order their
+    jobs were queued, and at most one job is sent ahead of the result
+    being taken: a result can exceed the pipe's buffer, so with more
+    jobs in flight both ends could block on a send.  Leaving the block
+    cleanly sends the sentinel and joins the worker; an exception kills
+    it first, so that an abort waits for no queued job.  A worker that
+    dies raises WorkerDied where its result is taken.
+    """
+
+    def __init__(self) -> None:
+        self._process = None
+        self._conn = None
+        self._queued: deque[TrialJob] = deque()  # not sent yet
+        self._sent: deque[TrialJob] = deque()  # sent, result not taken
+
+    def __enter__(self) -> "TrialWorker | None":
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if not hasattr(os, "fork") or (cpus or 1) < 2:
+            return None
+        # imported here: a command that scores nothing does not pay for it
+        import multiprocessing
+
+        # explicit, since the default start method is not fork everywhere;
+        # spawn and forkserver would import numpy again in the worker
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(target=_serve, args=(child_end, self._conn), daemon=True)
+        try:
+            self._process.start()
+        finally:
+            child_end.close()  # else the worker's death would not end recv
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._process is None:
+            return
+        try:
+            if exc_type is None and not self.pending:
+                self._conn.send(None)
+                self._process.join()
+        except OSError:
+            pass  # every result is in; a worker gone already is no failure
+        finally:
+            if self._process.exitcode is None:
+                self._process.kill()
+                self._process.join()
+            self._conn.close()
+
+    @property
+    def pending(self) -> bool:
+        return bool(self._queued or self._sent)
+
+    def queue(self, job: TrialJob) -> None:
+        self._queued.append(job)
+        self._send_ahead()
+
+    def take(self, job: TrialJob) -> list[TrialOutcome]:
+        """The outcomes of ``job``, which must be the oldest queued."""
+        if not self._sent or self._sent[0] != job:
+            raise ValueError("trial results taken out of the order their jobs were queued")
+        try:
+            outcomes = self._conn.recv()
+        except (EOFError, OSError) as err:
+            raise WorkerDied("the trial worker died") from err
+        self._sent.popleft()
+        self._send_ahead()
+        return outcomes
+
+    def _send_ahead(self) -> None:
+        while self._queued and len(self._sent) < 2:
+            try:
+                self._conn.send(self._queued[0])
+            except OSError as err:
+                raise WorkerDied("the trial worker died") from err
+            self._sent.append(self._queued.popleft())
+
+
 def run_trials(
     expr: Expression,
     config: FitnessConfig,
     space: SearchSpace,
     ga_config: GaConfig,
     de_config: DeConfig,
+    worker: TrialWorker | None = None,
 ) -> dict[str, list[TrialOutcome]]:
     """All 2T seeded trials, keyed by algorithm tag, in trial order; the
-    T trials of one algorithm run in lockstep."""
+    T trials of one algorithm run in lockstep.  With a worker, A1's
+    trials run there while A2's run here."""
     program = compile_program(expr)
     configs = {"GA": ga_config, "DE": de_config}
-    return {
-        tag: run_lockstep(
-            program, space, configs[tag],
-            [derive_trial_seed(config.base_seed, tag, i) for i in range(config.trials)],
-        )
-        for tag in (config.a1, config.a2)
-    }
+    if worker is None:
+        return {
+            tag: run_lockstep(program, space, configs[tag], _trial_seeds(config, tag))
+            for tag in (config.a1, config.a2)
+        }
+    job = TrialJob.a1(expr, config, space, ga_config, de_config)
+    if not worker.pending:
+        worker.queue(job)  # a caller scoring a batch queued it already
+    a2 = run_lockstep(program, space, configs[config.a2], _trial_seeds(config, config.a2))
+    return {config.a1: worker.take(job), config.a2: a2}
 
 
 def evaluate_benchmark(
@@ -154,12 +307,14 @@ def evaluate_benchmark(
     space: SearchSpace | None = None,
     ga_config: GaConfig = GaConfig(),
     de_config: DeConfig = DeConfig(),
+    worker: TrialWorker | None = None,
 ) -> BenchmarkEvaluation:
-    """Score one benchmark.  An invalid trial, or a penalty that
-    overflows to an infinite fitness, collapses to the flat penalty."""
+    """Score one benchmark, with A1's trials on ``worker`` if given.  An
+    invalid trial, or a penalty that overflows to an infinite fitness,
+    collapses to the flat penalty."""
     if space is None:
         space = SearchSpace(dimension=expr.dimension)
-    outcomes = run_trials(expr, config, space, ga_config, de_config)
+    outcomes = run_trials(expr, config, space, ga_config, de_config, worker)
     a1_best = tuple(o.best_value for o in outcomes[config.a1])
     a2_best = tuple(o.best_value for o in outcomes[config.a2])
     invalid = any(not o.valid for row in outcomes.values() for o in row)

@@ -3,6 +3,9 @@ from __future__ import annotations
 import filecmp
 import json
 import math
+import os
+import signal
+import socket
 import subprocess
 import sys
 import warnings
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ebg import cli
+from ebg import cli, engine, fitness
 from ebg.cli import build_configs, default_config, load_config, main
 from ebg.config import ConfigError
 from ebg.engine import load_lineage, load_run
@@ -75,6 +78,16 @@ def test_module_entry_point_runs():
 
 def test_import_cli_leaves_scipy_out():
     probe = "import sys, ebg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_import_cli_leaves_multiprocessing_out():
+    # a command imports it when it starts a trial worker
+    probe = "import sys, ebg, ebg.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
     )
@@ -338,6 +351,144 @@ def test_generate_transport_failure_is_runtime_abort(tmp_path, capsys, monkeypat
     assert code == 2
     assert "run aborted: chat endpoint failed" in capsys.readouterr().err
     assert not (out / "best.json").exists()
+
+
+# ------------------------------------------------------------ trial worker
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _taken(monkeypatch) -> list:
+    """The results the trial worker hands back, as they are taken."""
+    taken = []
+    take = fitness.TrialWorker.take
+
+    def counted(self, job):
+        taken.append(job)
+        return take(self, job)
+
+    monkeypatch.setattr(fitness.TrialWorker, "take", counted)
+    return taken
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_generate_with_a_worker_writes_the_one_process_run(tmp_path, monkeypatch):
+    # the same --out both times, so config.json compares too
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--config", SMOKE_CONFIG, "--out", "run", "--replay", SMOKE_TRANSCRIPT]
+    taken = _taken(monkeypatch)
+    assert main(argv) == 0
+    if len(os.sched_getaffinity(0)) > 1:
+        assert len(taken) == json.loads(Path("run/best.json").read_text())["evaluated_benchmarks"]
+    beside = _tree(tmp_path / "run")
+    _one_cpu(monkeypatch)
+    taken.clear()
+    assert main(argv) == 0
+    assert taken == []
+    assert _tree(tmp_path / "run") == beside
+
+
+def test_evaluate_with_a_worker_writes_the_one_process_report(tmp_path, monkeypatch, capsys):
+    argv = ["evaluate", "--expr", "sqrt(x[0] + 0.99999) + x[1]**2", "--config", SMOKE_CONFIG, "--out"]
+    taken = _taken(monkeypatch)
+    assert main([*argv, str(tmp_path / "two.json")]) == 0
+    assert len(taken) == (len(os.sched_getaffinity(0)) > 1)
+    _one_cpu(monkeypatch)
+    assert main([*argv, str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+# kills the trial worker as generation 1 starts breeding
+KILL_WORKER = """
+import multiprocessing, os, signal, sys
+from ebg import cli, engine
+
+step = engine.step_generation
+
+def killing(*args, **kwargs):
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+    return step(*args, **kwargs)
+
+engine.step_generation = killing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_killed_worker_aborts_the_run_after_its_last_commit(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the affinity mask holds one CPU, so there is no worker")
+    out = tmp_path / "run"
+    argv = ["generate", "--config", SMOKE_CONFIG, "--out", str(out), "--replay", SMOKE_TRANSCRIPT]
+    result = subprocess.run(
+        [sys.executable, "-c", KILL_WORKER, *argv],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == ["run aborted: the trial worker died"]
+    summary = json.loads((out / "best.json").read_text())
+    assert summary["aborted"] is True
+    assert summary["generations_completed"] == 1
+
+
+def test_killed_worker_aborts_an_evaluation(tmp_path, capsys, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the affinity mask holds one CPU, so there is no worker")
+    import multiprocessing
+
+    def killing(*args, **kwargs):
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=60)
+        return evaluate_benchmark(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_benchmark", killing)
+    report = tmp_path / "ev.json"
+    assert main(["evaluate", "--expr", "x[0]**2", "--config", SMOKE_CONFIG, "--out", str(report)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["evaluation aborted: the trial worker died"]
+    assert not report.exists()
+
+
+def test_refused_port_fails_before_any_benchmark_is_scored(tmp_path, capsys, monkeypatch):
+    with socket.socket() as unused:
+        unused.bind(("127.0.0.1", 0))
+        port = unused.getsockname()[1]
+    monkeypatch.setattr("ebg.llm.time.sleep", lambda seconds: None)  # the retry backoff
+    scored = []
+    monkeypatch.setattr(engine, "evaluate_benchmark", lambda *args, **kwargs: scored.append(args))
+    path = _write_config(tmp_path, backend={"endpoint_url": f"http://127.0.0.1:{port}/chat", "model": "m"})
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("run aborted: chat endpoint failed after 3 attempts")
+    assert scored == []
+    assert not (tmp_path / "run" / "best.json").exists()
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # the reader is gone before the command prints, so its first write to
+    # the pipe fails; stdout is block-buffered, as it is by default, so
+    # that write is main's flush, after the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    report = tmp_path / "ev.json"
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ebg.cli", "evaluate", "--expr", "sqrt(x[0] + 0.9999)",
+             "--config", SMOKE_CONFIG, "--out", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == ""  # no traceback
+    assert report.exists()
 
 
 def test_environment_overrides_the_backend_block(tmp_path, monkeypatch):

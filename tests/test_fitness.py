@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import signal
+import time
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from ebg.expressions import parse
 from ebg.fitness import (
     BenchmarkEvaluation,
     FitnessConfig,
+    TrialJob,
+    TrialWorker,
     average_ranks,
     derive_trial_seed,
     evaluate_benchmark,
@@ -224,6 +230,133 @@ def test_run_trials_share_one_kernel_call_per_generation(monkeypatch):
     assert rows == []
     assert max(o.evaluations_used for o in outcomes["DE"]) < de.population * (de.generations + 1)
     assert len({o.evaluations_used for o in outcomes["GA"]}) > 1  # one frozen, others full
+
+
+# ------------------------------------------------------------ trial worker
+
+
+@pytest.fixture
+def worker():
+    with TrialWorker() as opened:
+        if opened is None:
+            pytest.skip("the affinity mask holds one CPU, so there is no worker")
+        yield opened
+
+
+WORKER_CASES = {
+    "sphere": ("x[0]**2 + x[1]**2 + x[2]**2", FitnessConfig(trials=4)),
+    # trials freeze part-way: the sqrt turns invalid below x[0] = -0.99
+    "freezing": ("sqrt(x[0] + 0.99) + x[1]**2", FitnessConfig(trials=5, base_seed=2)),
+    "one-trial": ("x[0]**2 + sin(x[1])", FitnessConfig(trials=1)),
+    "de-first": ("x[0]**2 + abs(x[1] - x[2])", FitnessConfig(trials=4, a1="DE", a2="GA")),
+}
+
+
+@pytest.mark.parametrize("text, config", WORKER_CASES.values(), ids=WORKER_CASES)
+def test_worker_gives_the_in_process_evaluation(worker, text, config):
+    expr = parse(text, 3)
+    ga, de = GaConfig(population=12, generations=25), DeConfig(population=8, generations=25)
+    alone = evaluate_benchmark(expr, config, ga_config=ga, de_config=de)
+    beside = evaluate_benchmark(expr, config, ga_config=ga, de_config=de, worker=worker)
+    assert repr(beside) == repr(alone)
+    assert not worker.pending
+    if text.startswith("sqrt"):
+        assert alone.any_invalid
+
+
+def test_worker_runs_a_queued_batch_in_order(worker):
+    exprs = [parse(text, 3) for text, _ in WORKER_CASES.values()]
+    config = FitnessConfig(trials=3)
+    for expr in exprs:
+        worker.queue(TrialJob.a1(expr, config, ga_config=TINY_GA, de_config=TINY_DE))
+    batch = [evaluate_benchmark(e, config, ga_config=TINY_GA, de_config=TINY_DE, worker=worker) for e in exprs]
+    alone = [evaluate_benchmark(e, config, ga_config=TINY_GA, de_config=TINY_DE) for e in exprs]
+    assert repr(batch) == repr(alone)
+
+
+def test_worker_refuses_a_result_taken_out_of_order(worker):
+    config = FitnessConfig(trials=2)
+    first, second = (parse(text, 2) for text in ("x[0]**2", "x[1]**2"))
+    worker.queue(TrialJob.a1(first, config, ga_config=TINY_GA, de_config=TINY_DE))
+    with pytest.raises(ValueError, match="out of the order"):
+        evaluate_benchmark(second, config, ga_config=TINY_GA, de_config=TINY_DE, worker=worker)
+
+
+def test_worker_returns_a_trial_result_larger_than_the_pipe_buffer(worker):
+    # 20 traces of 2001 values pickle to about 360 kB
+    expr = parse("x[0]**2 + x[1]**2", 2)
+    config = FitnessConfig(trials=20)
+    ga, de = GaConfig(population=4, generations=2000), DeConfig(population=4, generations=2000)
+    job = TrialJob.a1(expr, config, ga_config=ga, de_config=de)
+    worker.queue(job)
+    assert repr(worker.take(job)) == repr(job.run())
+
+
+@dataclass(frozen=True)
+class _Echo:
+    """A stub job whose payload and result both exceed the pipe buffer."""
+
+    index: int
+    payload: bytes = bytes(100_000)
+
+    def run(self):
+        return self.index, self.payload * 3
+
+
+@dataclass(frozen=True)
+class _Sleep:
+    seconds: float
+
+    def run(self):
+        time.sleep(self.seconds)
+
+
+class _Stuck(Exception):
+    pass
+
+
+def _raise_stuck(signum, frame):
+    raise _Stuck
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that blocks for 60 s instead of hanging the run."""
+    previous = signal.signal(signal.SIGALRM, _raise_stuck)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_sixty_queued_jobs_past_the_pipe_buffer_finish(worker, deadline):
+    # queued all at once, 6 MB of jobs and 18 MB of results: only one
+    # job goes ahead of the result being taken, so no send blocks both ends
+    jobs = [_Echo(i) for i in range(60)]
+    for job in jobs:
+        worker.queue(job)
+    taken = [worker.take(job) for job in jobs]
+    assert [index for index, _ in taken] == list(range(60))
+    assert all(len(payload) == 300_000 for _, payload in taken)
+
+
+def test_an_exception_kills_the_worker_without_waiting_for_its_jobs(deadline):
+    started = time.perf_counter()
+    with pytest.raises(_Stuck):
+        with TrialWorker() as opened:
+            if opened is None:
+                pytest.skip("the affinity mask holds one CPU, so there is no worker")
+            for _ in range(3):
+                opened.queue(_Sleep(30.0))
+            raise _Stuck
+    assert time.perf_counter() - started < 10
+    assert opened._process.exitcode == -signal.SIGKILL
+
+
+def test_one_cpu_keeps_scoring_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with TrialWorker() as opened:
+        assert opened is None
 
 
 # ------------------------------------------------------------- prevalidate
